@@ -1,0 +1,240 @@
+//! A minimal JSON reader and string escaper: enough to read `rr-serve`
+//! response lines and `BENCHMARK.json`, with no dependency beyond std.
+
+use std::collections::BTreeMap;
+
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(String),
+    Array(Vec<Value>),
+    Object(BTreeMap<String, Value>),
+}
+
+impl Value {
+    /// Member `key` of an object; `Null` for anything else.
+    pub fn get(&self, key: &str) -> &Value {
+        match self {
+            Value::Object(m) => m.get(key).unwrap_or(&Value::Null),
+            _ => &Value::Null,
+        }
+    }
+
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Num(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_array(&self) -> &[Value] {
+        match self {
+            Value::Array(v) => v,
+            _ => &[],
+        }
+    }
+}
+
+/// Parses one JSON document.
+pub fn parse(text: &str) -> Result<Value, String> {
+    let mut p = Parser {
+        s: text.as_bytes(),
+        i: 0,
+    };
+    let v = p.value()?;
+    p.ws();
+    if p.i != p.s.len() {
+        return Err(format!("trailing characters at byte {}", p.i));
+    }
+    Ok(v)
+}
+
+/// `s` as a quoted JSON string.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+struct Parser<'a> {
+    s: &'a [u8],
+    i: usize,
+}
+
+impl Parser<'_> {
+    fn ws(&mut self) {
+        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
+            self.i += 1;
+        }
+    }
+
+    fn eat(&mut self, lit: &str) -> Result<(), String> {
+        if self.s[self.i..].starts_with(lit.as_bytes()) {
+            self.i += lit.len();
+            Ok(())
+        } else {
+            Err(format!("expected {lit:?} at byte {}", self.i))
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        self.ws();
+        match self.s.get(self.i) {
+            None => Err("unexpected end of input".into()),
+            Some(b'n') => self.eat("null").map(|_| Value::Null),
+            Some(b't') => self.eat("true").map(|_| Value::Bool(true)),
+            Some(b'f') => self.eat("false").map(|_| Value::Bool(false)),
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b'[') => {
+                self.i += 1;
+                let mut items = Vec::new();
+                self.ws();
+                if self.s.get(self.i) == Some(&b']') {
+                    self.i += 1;
+                    return Ok(Value::Array(items));
+                }
+                loop {
+                    items.push(self.value()?);
+                    self.ws();
+                    match self.s.get(self.i) {
+                        Some(b',') => self.i += 1,
+                        Some(b']') => {
+                            self.i += 1;
+                            return Ok(Value::Array(items));
+                        }
+                        _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
+                    }
+                }
+            }
+            Some(b'{') => {
+                self.i += 1;
+                let mut map = BTreeMap::new();
+                self.ws();
+                if self.s.get(self.i) == Some(&b'}') {
+                    self.i += 1;
+                    return Ok(Value::Object(map));
+                }
+                loop {
+                    self.ws();
+                    let key = self.string()?;
+                    self.ws();
+                    self.eat(":")?;
+                    map.insert(key, self.value()?);
+                    self.ws();
+                    match self.s.get(self.i) {
+                        Some(b',') => self.i += 1,
+                        Some(b'}') => {
+                            self.i += 1;
+                            return Ok(Value::Object(map));
+                        }
+                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
+                    }
+                }
+            }
+            Some(_) => self.number(),
+        }
+    }
+
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.i;
+        while self.i < self.s.len()
+            && matches!(
+                self.s[self.i],
+                b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'
+            )
+        {
+            self.i += 1;
+        }
+        std::str::from_utf8(&self.s[start..self.i])
+            .ok()
+            .and_then(|t| t.parse::<f64>().ok())
+            .map(Value::Num)
+            .ok_or_else(|| format!("bad number at byte {start}"))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.eat("\"")?;
+        let mut out = Vec::new();
+        loop {
+            let Some(&b) = self.s.get(self.i) else {
+                return Err("unterminated string".into());
+            };
+            self.i += 1;
+            match b {
+                b'"' => break,
+                b'\\' => {
+                    let Some(&e) = self.s.get(self.i) else {
+                        return Err("unterminated escape".into());
+                    };
+                    self.i += 1;
+                    match e {
+                        b'n' => out.push(b'\n'),
+                        b't' => out.push(b'\t'),
+                        b'r' => out.push(b'\r'),
+                        b'b' => out.push(8),
+                        b'f' => out.push(12),
+                        b'u' => {
+                            let hex = self.s.get(self.i..self.i + 4).ok_or("short \\u escape")?;
+                            let code = u32::from_str_radix(
+                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
+                                16,
+                            )
+                            .map_err(|e| e.to_string())?;
+                            self.i += 4;
+                            let c = char::from_u32(code).unwrap_or('\u{fffd}');
+                            out.extend_from_slice(c.to_string().as_bytes());
+                        }
+                        other => out.push(other),
+                    }
+                }
+                other => out.push(other),
+            }
+        }
+        String::from_utf8(out).map_err(|e| e.to_string())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parses_a_response_line() {
+        let v = parse(r#"{ "code": "ok", "id": 7, "roots": [ { "mu": 54, "num": "-18" } ], "x": null, "ok": true, "w": 1.5e-3 }"#)
+            .unwrap();
+        assert_eq!(v.get("code").as_str(), Some("ok"));
+        assert_eq!(v.get("id").as_f64(), Some(7.0));
+        assert_eq!(
+            v.get("roots").as_array()[0].get("num").as_str(),
+            Some("-18")
+        );
+        assert_eq!(v.get("w").as_f64(), Some(1.5e-3));
+        assert_eq!(v.get("ok"), &Value::Bool(true));
+        assert!(parse("{\"a\": 1} x").is_err());
+    }
+
+    #[test]
+    fn quote_round_trips() {
+        let s = "a\"b\\c\nd";
+        assert_eq!(parse(&quote(s)).unwrap(), Value::Str(s.into()));
+    }
+}
