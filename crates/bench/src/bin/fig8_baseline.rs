@@ -13,6 +13,10 @@
 //!    baseline reproduces that with `--fixed-internal` which refines at
 //!    a fixed working precision and rounds).
 //!
+//! Both methods run on the paper's kernels ([`Kernels::Paper`]): this is
+//! a wall-clock comparison, and the paper timed the quadratic `mp`
+//! arithmetic.
+//!
 //! ```sh
 //! cargo run --release -p rr-bench --bin fig8_baseline -- \
 //!     [--max-n 30] [--reps 1] [--json fig8.json]
@@ -20,7 +24,8 @@
 
 use rr_baseline::{find_real_roots, BaselineConfig};
 use rr_bench::{digits_to_bits, impl_to_json, maybe_write_json, time_best, Args};
-use rr_core::{RootApproximator, SolverConfig};
+use rr_core::{Kernels, RootApproximator, SolverConfig};
+use rr_mp::SolveCtx;
 use rr_workload::charpoly_input;
 
 struct Row {
@@ -35,6 +40,8 @@ fn main() {
     let max_n: usize = args.get("max-n").unwrap_or(30);
     let reps: usize = args.get("reps").unwrap_or(1);
     let mu = digits_to_bits(30);
+    let paper = SolveCtx::new(Kernels::Paper);
+    let config = |mu| SolverConfig::sequential(mu).with_kernels(Kernels::Paper);
 
     println!("Figure 8 reproduction: tree algorithm vs Sturm baseline, µ = 30 digits ({mu} bits)");
     println!("  n  | tree (s)   | sturm (s)  | sturm/tree");
@@ -42,10 +49,11 @@ fn main() {
     let mut rows = Vec::new();
     for n in (6..=max_n).step_by(4) {
         let p = charpoly_input(n, 0);
-        let solver = RootApproximator::new(SolverConfig::sequential(mu));
+        let solver = RootApproximator::new(config(mu));
         let (ours, t_tree) = time_best(reps, || solver.approximate_roots(&p).unwrap());
         let cfg = BaselineConfig::new(mu);
-        let (theirs, t_base) = time_best(reps, || find_real_roots(&p, &cfg).unwrap());
+        let (theirs, t_base) =
+            time_best(reps, || paper.run(|| find_real_roots(&p, &cfg).unwrap()));
         assert_eq!(
             ours.roots.iter().map(|r| r.num.clone()).collect::<Vec<_>>(),
             theirs,
@@ -72,10 +80,10 @@ fn main() {
     let full = digits_to_bits(32);
     for digits in [4u64, 8, 16, 24, 32] {
         let mu = digits_to_bits(digits);
-        let solver = RootApproximator::new(SolverConfig::sequential(mu));
+        let solver = RootApproximator::new(config(mu));
         let (_r, t_tree) = time_best(reps, || solver.approximate_roots(&p).unwrap());
         let cfg = BaselineConfig { mu, fixed_internal_precision: Some(full) };
-        let (_b, t_base) = time_best(reps, || find_real_roots(&p, &cfg).unwrap());
+        let (_b, t_base) = time_best(reps, || paper.run(|| find_real_roots(&p, &cfg).unwrap()));
         println!(
             "  {:>8} | {:>10.4} | {:>10.4}",
             digits,
@@ -84,9 +92,5 @@ fn main() {
         );
     }
     maybe_write_json(args.get::<String>("json"), &rows);
-    rr_bench::maybe_trace(
-        &args,
-        SolverConfig::sequential(digits_to_bits(30)),
-        &charpoly_input(max_n, 0),
-    );
+    rr_bench::maybe_trace(&args, config(digits_to_bits(30)), &charpoly_input(max_n, 0));
 }

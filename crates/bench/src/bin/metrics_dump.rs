@@ -1,7 +1,9 @@
 //! Fleet-metrics exercise + dump: runs a mixed-size solve batch with
 //! the always-on `rr_obs::metrics` registry hot, then prints the
 //! per-phase latency percentile table (p50/p90/p99/max from the base-2
-//! log histograms) and the full Prometheus text exposition — the same
+//! log histograms), the solve outcome counters
+//! (`rr_solves_total{outcome, kernels}`, one series per outcome and
+//! kernel policy) and the full Prometheus text exposition — the same
 //! text an `rr-serve` scrape endpoint would return.
 //!
 //! With `--json` the percentile report is written in the unified

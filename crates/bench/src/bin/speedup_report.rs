@@ -24,7 +24,7 @@
 use rr_bench::json::Value;
 use rr_bench::schema::maybe_write_bench_json;
 use rr_bench::{digits_to_bits, impl_to_json, Args, PAPER_PROCS};
-use rr_core::{ExecMode, Session, SolverConfig};
+use rr_core::{ExecMode, Kernels, Session, SolverConfig};
 use rr_sched::sim;
 use rr_workload::{charpoly_input, paper_degrees};
 
@@ -43,19 +43,6 @@ struct Row {
     // profile, summed across the solve's task graphs). The speedup
     // columns are means; this is the shape behind them.
     parallelism_hist: Vec<(u64, f64)>,
-    // Intra-multiply concurrency from the fork-join splitter
-    // (`RR_PAR_MUL`), measured by a companion par-mul-on solve at the
-    // same configuration: serial work `T₁` and critical path `T_∞` of
-    // the split big-integer products (DESIGN.md §17). The task-level
-    // trace above treats each task as atomic, so this is parallelism
-    // *inside* tasks, invisible to — and additive with — the task
-    // histogram.
-    parmul_work_secs: f64,
-    parmul_span_secs: f64,
-    // `[level, seconds]` pairs for the split products alone: dwell
-    // `T_∞` seconds at mean occupancy `T₁/T_∞`, split across the two
-    // adjacent integer levels so both totals are exact.
-    parmul_hist: Vec<(u64, f64)>,
 }
 impl_to_json!(Row {
     n,
@@ -68,9 +55,6 @@ impl_to_json!(Row {
     simulated_speedup,
     paper_speedup,
     parallelism_hist,
-    parmul_work_secs,
-    parmul_span_secs,
-    parmul_hist,
 });
 
 /// Merges the per-trace concurrency profiles of one replay at `procs`
@@ -87,23 +71,6 @@ fn parallelism_hist(traces: &[rr_sched::pool::TaskTrace], procs: usize) -> Vec<(
         .enumerate()
         .filter(|&(level, secs)| level > 0 && secs > 0.0)
         .map(|(level, secs)| (level as u64, secs))
-        .collect()
-}
-
-/// `[level, seconds]` histogram of the split products' own execution:
-/// `span` seconds at mean occupancy `work/span`, distributed over the
-/// two adjacent integer levels so that Σ secs = `span` and
-/// Σ level·secs = `work` exactly.
-fn parmul_hist(work: f64, span: f64) -> Vec<(u64, f64)> {
-    if span <= 0.0 || !span.is_finite() || work < span {
-        return Vec::new();
-    }
-    let lo = (work / span).floor();
-    let hi_secs = work - lo * span; // level·secs excess over flat `lo`
-    let lo_secs = span - hi_secs;
-    [(lo as u64, lo_secs), (lo as u64 + 1, hi_secs)]
-        .into_iter()
-        .filter(|&(_, secs)| secs > 0.0)
         .collect()
 }
 
@@ -126,8 +93,9 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for n in paper_degrees().into_iter().filter(|&n| (min_n..=max_n).contains(&n)) {
         let p = charpoly_input(n, 0);
-        // One worker: exact per-task durations, same spawn DAG.
-        let mut cfg = SolverConfig::parallel(mu, 2);
+        // One worker: exact per-task durations, same spawn DAG. The
+        // paper's kernels, so task durations compare with its timings.
+        let mut cfg = SolverConfig::parallel(mu, 2).with_kernels(Kernels::Paper);
         cfg.mode = ExecMode::Dynamic { threads: 1 };
         let (result, report) = match Session::new(cfg).solve_traced(&p) {
             Ok(r) => r,
@@ -142,24 +110,6 @@ fn main() {
             eprintln!(" {n:>3} | skipped: solve degraded ({d})");
             continue;
         }
-
-        // Companion par-mul-on solve on the fast stack (the splitter
-        // only engages on `MulBackend::Fast`; forced `On` — under
-        // `Auto` a one-worker pool never engages): bit-identical
-        // roots, and its `SolveStats::parmul` carries the split
-        // products' work/span for the intra-multiply concurrency
-        // columns.
-        let parmul = Session::new(
-            cfg.with_backend(rr_mp::MulBackend::Fast)
-                .with_poly_mul(rr_mp::PolyMulBackend::Kronecker)
-                .with_div(rr_mp::DivBackend::Newton)
-                .with_par_mul(rr_mp::ParMulMode::On),
-        )
-        .solve(&p)
-        .map(|r| r.stats.parmul)
-        .unwrap_or_default();
-        let (pm_work, pm_span) =
-            (parmul.work_ns as f64 * 1e-9, parmul.span_ns as f64 * 1e-9);
 
         // Replay the recorded graphs back to back on the paper's grid.
         let speedups: Vec<(usize, f64)> = result.stats.simulate_speedups(&PAPER_PROCS);
@@ -190,9 +140,6 @@ fn main() {
                     simulated_speedup: s,
                     paper_speedup: paper.unwrap_or(-1.0),
                     parallelism_hist: parallelism_hist(&result.stats.traces, procs),
-                    parmul_work_secs: pm_work,
-                    parmul_span_secs: pm_span,
-                    parmul_hist: parmul_hist(pm_work, pm_span),
                 });
                 format!(
                     "{s:>5.2}/{:<5}",

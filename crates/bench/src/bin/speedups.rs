@@ -12,6 +12,9 @@
 //!   (`rr_sched::sim`). This is the substitution for the paper's
 //!   20-processor Sequent Symmetry; see DESIGN.md.
 //!
+//! Every solve runs the paper's kernels (`Kernels::Paper`), so task
+//! durations compare with the paper's timings.
+//!
 //! ```sh
 //! cargo run --release -p rr-bench --bin speedups -- \
 //!     [--full] [--min-n 35] [--max-n 70] [--json speedups.json] [--sched static]
@@ -20,7 +23,7 @@
 use rr_bench::{
     digits_to_bits, impl_to_json, maybe_write_json, Args, PAPER_MU_DIGITS, PAPER_PROCS,
 };
-use rr_core::{ExecMode, RootApproximator, SolverConfig};
+use rr_core::{ExecMode, Kernels, RootApproximator, SolverConfig};
 use rr_workload::{charpoly_input, paper_degrees};
 
 struct Cell {
@@ -71,7 +74,7 @@ fn main() {
             // One traced dynamic run provides the simulation input. One
             // worker records exact task durations (no timesharing skew);
             // the spawn DAG is the same.
-            let mut traced_cfg = SolverConfig::parallel(mu, 2);
+            let mut traced_cfg = SolverConfig::parallel(mu, 2).with_kernels(Kernels::Paper);
             traced_cfg.mode = ExecMode::Dynamic { threads: 1 };
             let traced = RootApproximator::new(traced_cfg)
                 .approximate_roots(&p)
@@ -79,7 +82,7 @@ fn main() {
             let sim = traced.stats.simulate_speedups(&PAPER_PROCS);
             let mut walls = Vec::new();
             for &procs in &PAPER_PROCS {
-                let mut cfg = SolverConfig::parallel(mu, procs);
+                let mut cfg = SolverConfig::parallel(mu, procs).with_kernels(Kernels::Paper);
                 if static_sched && procs > 1 {
                     cfg.mode = ExecMode::Static { threads: procs };
                 }
@@ -136,7 +139,7 @@ fn main() {
     if let Some(&rep) = degrees.last() {
         rr_bench::maybe_trace(
             &args,
-            SolverConfig::parallel(digits_to_bits(8), 4),
+            SolverConfig::parallel(digits_to_bits(8), 4).with_kernels(Kernels::Paper),
             &charpoly_input(rep, 0),
         );
     }

@@ -9,7 +9,7 @@
 //! ```
 
 use rr_bench::{digits_to_bits, impl_to_json, maybe_write_json, Args, PAPER_MU_DIGITS};
-use rr_core::{RootApproximator, SolverConfig};
+use rr_core::{Kernels, RootApproximator, SolverConfig};
 use rr_workload::{charpoly_input, paper_degrees};
 
 struct Row {
@@ -40,7 +40,9 @@ fn main() {
         let mut times = Vec::new();
         for &digits in &PAPER_MU_DIGITS {
             let mu = digits_to_bits(digits);
-            let solver = RootApproximator::new(SolverConfig::sequential(mu));
+            // The paper's kernels: these are its wall-clock timings.
+            let solver =
+                RootApproximator::new(SolverConfig::sequential(mu).with_kernels(Kernels::Paper));
             let mut total = 0.0;
             for p in &inputs {
                 let (_r, d) = rr_bench::time_best(reps, || {
@@ -89,7 +91,7 @@ fn main() {
     let rep = paper_degrees().into_iter().rfind(|&n| n <= max_n).unwrap_or(10);
     rr_bench::maybe_trace(
         &args,
-        SolverConfig::sequential(digits_to_bits(8)),
+        SolverConfig::sequential(digits_to_bits(8)).with_kernels(Kernels::Paper),
         &charpoly_input(rep, 0),
     );
 }

@@ -378,6 +378,21 @@ mod tests {
         isolate_root(&sp, &spd, &lo, s_lo, &hi, strategy)
     }
 
+    /// [`isolate`] under a private session sink, returning the result
+    /// and the sink's cost: counts on the global sink would also include
+    /// concurrently running tests' events.
+    fn isolate_counted(
+        p: &Poly,
+        lo: i64,
+        hi: i64,
+        mu: u64,
+        strategy: RefineStrategy,
+    ) -> (Int, rr_mp::metrics::CostSnapshot) {
+        let ctx = rr_mp::SolveCtx::new(rr_mp::Kernels::Fast);
+        let got = ctx.run(|| isolate(p, lo, hi, mu, strategy));
+        (got, ctx.snapshot())
+    }
+
     fn check_sqrt2(mu: u64, strategy: RefineStrategy) {
         // x^2 - 2, root √2 in (1, 2): ⌈2^µ·√2⌉.
         let p = Poly::from_i64(&[-2, 0, 1]);
@@ -427,12 +442,12 @@ mod tests {
     fn secant_converges_fast() {
         // derivative-free but still far cheaper than bisection at high µ
         let p = Poly::from_i64(&[-2, 0, 1]);
-        let before = rr_mp::metrics::snapshot();
-        let _ = isolate(&p, 1, 2, 120, RefineStrategy::SecantHybrid);
-        let secant_cost = (rr_mp::metrics::snapshot() - before).total().mul_count;
-        let before = rr_mp::metrics::snapshot();
-        let _ = isolate(&p, 1, 2, 120, RefineStrategy::BisectOnly);
-        let bisect_cost = (rr_mp::metrics::snapshot() - before).total().mul_count;
+        let secant_cost = isolate_counted(&p, 1, 2, 120, RefineStrategy::SecantHybrid)
+            .1
+            .total()
+            .mul_count;
+        let bisect_cost =
+            isolate_counted(&p, 1, 2, 120, RefineStrategy::BisectOnly).1.total().mul_count;
         assert!(secant_cost < bisect_cost, "{secant_cost} vs {bisect_cost}");
     }
 
@@ -454,14 +469,12 @@ mod tests {
         // fewer evaluations than bisection. 1024x - 1 at µ = 20.
         let p = Poly::from_i64(&[-1, 1024]);
         let mu = 20;
-        let before = rr_mp::metrics::snapshot();
-        let got = isolate(&p, 0, 1024, mu, RefineStrategy::Hybrid);
-        let hybrid_cost = (rr_mp::metrics::snapshot() - before).total().mul_count;
+        let (got, hybrid) = isolate_counted(&p, 0, 1024, mu, RefineStrategy::Hybrid);
+        let hybrid_cost = hybrid.total().mul_count;
         // 2^20/1024 = 1024 exactly on the grid
         assert_eq!(got, Int::from(1024));
-        let before = rr_mp::metrics::snapshot();
-        let got2 = isolate(&p, 0, 1024, mu, RefineStrategy::BisectOnly);
-        let bisect_cost = (rr_mp::metrics::snapshot() - before).total().mul_count;
+        let (got2, bisect) = isolate_counted(&p, 0, 1024, mu, RefineStrategy::BisectOnly);
+        let bisect_cost = bisect.total().mul_count;
         assert_eq!(got2, Int::from(1024));
         assert!(
             hybrid_cost <= bisect_cost,
@@ -484,9 +497,7 @@ mod tests {
     #[test]
     fn phases_are_attributed() {
         let p = Poly::from_i64(&[-2, 0, 1]);
-        let before = rr_mp::metrics::snapshot();
-        let _ = isolate(&p, 1, 2, 50, RefineStrategy::Hybrid);
-        let d = rr_mp::metrics::snapshot() - before;
+        let (_, d) = isolate_counted(&p, 1, 2, 50, RefineStrategy::Hybrid);
         let newton = d.phase(Phase::Newton).mul_count;
         let bisect = d.phase(Phase::Bisection).mul_count;
         assert!(newton > 0, "newton did work");

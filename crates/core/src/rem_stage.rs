@@ -14,9 +14,9 @@
 //! that path is just [`rr_poly::remainder::remainder_sequence`].
 //!
 //! The exact division in each coefficient task rides the session's
-//! [`rr_mp::DivBackend`]: deep in the sequence the dividends reach
+//! [`rr_mp::Kernels`] policy: deep in the sequence the dividends reach
 //! 10⁴–10⁵ bits and the `c_{i−1}²` divisors grow comparably, so
-//! `RR_DIV=newton` swaps Algorithm D for the 2-adic (Hensel) kernel
+//! `Kernels::Fast` swaps Algorithm D for the 2-adic (Hensel) kernel
 //! there without changing any recorded cost. Every coefficient task of
 //! iteration `i` divides by the *same* `c_{i−1}²`, so [`IterData`] holds
 //! it as a prepared [`rr_mp::ExactDivisor`]: the tasks share one cached
@@ -329,9 +329,15 @@ mod tests {
     fn cost_attributed_to_remainder_phase() {
         let roots: Vec<Int> = (1..=12i64).map(Int::from).collect();
         let p = Poly::from_roots(&roots);
-        let before = rr_mp::metrics::snapshot();
-        let _ = parallel_remainder(&p, 4).unwrap();
-        let d = rr_mp::metrics::snapshot() - before;
+        // A private sink installed on the caller and on every task:
+        // counts on the global sink would also include concurrently
+        // running tests' events.
+        let ctx = rr_mp::SolveCtx::new(rr_mp::Kernels::Fast);
+        let task_ctx = ctx.clone();
+        let wrapper: TaskWrapper = Arc::new(move |task| task_ctx.run(task));
+        let pool = Pool::new(4);
+        ctx.run(|| parallel_remainder_on(&pool, 4, wrapper, None, &p)).unwrap();
+        let d = ctx.snapshot();
         assert!(d.phase(Phase::RemainderSeq).mul_count > 0);
         assert_eq!(d.phase(Phase::TreePoly).mul_count, 0);
     }

@@ -6,7 +6,7 @@ use crate::interval::Inconsistency;
 pub use crate::par_solver::Grain;
 pub use crate::refine::RefineStrategy;
 use rr_mp::metrics::{self, CostSnapshot, Phase};
-use rr_mp::{DivBackend, MulBackend, PolyMulBackend, SolveCtx};
+use rr_mp::{Kernels, SolveCtx};
 use rr_poly::bounds::root_bound_bits;
 use rr_poly::remainder::{remainder_sequence, RemainderSeq, SeqError};
 use rr_poly::Poly;
@@ -50,39 +50,12 @@ pub struct SolverConfig {
     /// Task granularity of the tree stage's matrix products (dynamic
     /// mode only).
     pub grain: Grain,
-    /// Magnitude multiplication kernel for this solve, carried by the
-    /// solve's session context and inherited by its worker tasks
-    /// (`Schoolbook` is the paper-faithful default, `Fast` enables
-    /// Karatsuba — identical roots and metrics, different wall-clock).
-    pub backend: MulBackend,
-    /// Polynomial multiplication kernel for this solve, carried the same
-    /// way (`Schoolbook` double loop, or `Kronecker` substitution onto
-    /// one big-integer product — identical roots and metrics, different
-    /// wall-clock). Defaults to the `RR_POLY_MUL` environment selection
-    /// so existing entry points pick it up without new flags.
-    pub poly_mul: PolyMulBackend,
-    /// Division kernel for this solve, carried the same way
-    /// (`Schoolbook` Knuth Algorithm D, or `Newton` reciprocal
-    /// iteration above a calibrated crossover — identical roots and
-    /// metrics, different wall-clock; pair `Newton` with
-    /// `MulBackend::Fast` so the reciprocal's multiplications are
-    /// subquadratic). Defaults to the `RR_DIV` environment selection.
-    pub div: DivBackend,
-    /// Per-thread scratch-arena buffer reuse for this solve's big-int
-    /// temporaries, carried by the session context. Roots, metrics, and
-    /// every paper table are bit-identical either way (asserted by
-    /// `tests/arena_diff.rs`); only physical allocation counts
-    /// ([`SolveStats::alloc`]) and wall-clock change. Defaults to the
-    /// `RR_ARENA` environment selection (on unless `RR_ARENA=off`).
-    pub arena: bool,
-    /// Fork-join splitting of large big-integer products onto this
-    /// solve's pool scope, carried by the session context (see
-    /// [`rr_mp::ParMulMode`]). Only engages with `MulBackend::Fast`.
-    /// Roots and every paper cost-model table are bit-identical across
-    /// modes (asserted by `tests/parmul_diff.rs`); only wall-clock and
-    /// the execution stats ([`SolveStats::parmul`]) change. Defaults to
-    /// the `RR_PAR_MUL` environment selection (auto unless set).
-    pub par_mul: rr_mp::ParMulMode,
+    /// Kernel policy for this solve, carried by the solve's session
+    /// context and inherited by its worker tasks. `Fast` (the default)
+    /// picks the fastest kernel by operand size; `Paper` runs the
+    /// schoolbook kernels the paper timed. Roots and every recorded
+    /// cost are identical under both; only wall-clock differs.
+    pub kernels: Kernels,
     /// Graceful degradation (on by default): when the extended remainder
     /// sequence rejects the input (`NotNormal` / `NotRealRooted`), retry
     /// on its squarefree part and, failing that, fall back to the
@@ -101,11 +74,7 @@ impl SolverConfig {
             seq_remainder: true,
             refine: RefineStrategy::Hybrid,
             grain: Grain::Entry,
-            backend: MulBackend::Schoolbook,
-            poly_mul: rr_mp::poly_mul_backend(),
-            div: rr_mp::div_backend(),
-            arena: rr_mp::arena_enabled(),
-            par_mul: rr_mp::par_mul_mode(),
+            kernels: Kernels::Fast,
             degrade: true,
         }
     }
@@ -122,46 +91,15 @@ impl SolverConfig {
             seq_remainder: false,
             refine: RefineStrategy::Hybrid,
             grain: Grain::Entry,
-            backend: MulBackend::Schoolbook,
-            poly_mul: rr_mp::poly_mul_backend(),
-            div: rr_mp::div_backend(),
-            arena: rr_mp::arena_enabled(),
-            par_mul: rr_mp::par_mul_mode(),
+            kernels: Kernels::Fast,
             degrade: true,
         }
     }
 
-    /// The same configuration with the given multiplication backend.
-    pub fn with_backend(mut self, backend: MulBackend) -> SolverConfig {
-        self.backend = backend;
-        self
-    }
-
-    /// The same configuration with the given polynomial multiplication
-    /// backend (see [`SolverConfig::poly_mul`]).
-    pub fn with_poly_mul(mut self, poly_mul: PolyMulBackend) -> SolverConfig {
-        self.poly_mul = poly_mul;
-        self
-    }
-
-    /// The same configuration with the given division backend (see
-    /// [`SolverConfig::div`]).
-    pub fn with_div(mut self, div: DivBackend) -> SolverConfig {
-        self.div = div;
-        self
-    }
-
-    /// The same configuration with the scratch arena switched on or off
-    /// (see [`SolverConfig::arena`]).
-    pub fn with_arena(mut self, arena: bool) -> SolverConfig {
-        self.arena = arena;
-        self
-    }
-
-    /// The same configuration with the given fork-join multiplication
-    /// mode (see [`SolverConfig::par_mul`]).
-    pub fn with_par_mul(mut self, par_mul: rr_mp::ParMulMode) -> SolverConfig {
-        self.par_mul = par_mul;
+    /// The same configuration with the given kernel policy (see
+    /// [`SolverConfig::kernels`]).
+    pub fn with_kernels(mut self, kernels: Kernels) -> SolverConfig {
+        self.kernels = kernels;
         self
     }
 
@@ -358,24 +296,16 @@ pub struct SolveStats {
     /// The root bound `R` used (all roots in `(−2^R, 2^R)`).
     pub bound_bits: u64,
     /// Physical-work counters of the Newton division kernel for this
-    /// solve: all zero under [`DivBackend::Schoolbook`]. Deliberately
-    /// *outside* [`SolveStats::cost`], whose equality across backends is
+    /// solve: all zero under [`Kernels::Paper`]. Deliberately *outside*
+    /// [`SolveStats::cost`], whose equality across kernel policies is
     /// the model-invariance guarantee.
     pub newton_div: rr_mp::NewtonDivStats,
     /// Physical limb-buffer allocation counts per phase, from the
-    /// solve's private sink. With the scratch arena on
-    /// ([`SolverConfig::arena`]) only cold misses count; with it off,
-    /// every acquisition. Like `newton_div`, deliberately outside
-    /// [`SolveStats::cost`]: it is *supposed* to vary with `RR_ARENA`
-    /// while `cost` stays bit-identical.
+    /// solve's private sink: the scratch arena's cold misses. Like
+    /// `newton_div`, deliberately outside [`SolveStats::cost`]: a solve
+    /// on a warm thread allocates less than one on a cold thread, while
+    /// `cost` stays bit-identical.
     pub alloc: rr_mp::AllocStats,
-    /// Physical-work counters of the fork-join multiplication splitter
-    /// for this solve: all zero with `RR_PAR_MUL=off` (or outside
-    /// `MulBackend::Fast`). Like `newton_div` and `alloc`, deliberately
-    /// *outside* [`SolveStats::cost`] — the model charge is recorded
-    /// before the kernel runs, so `cost` stays bit-identical across the
-    /// switch while these describe what actually executed.
-    pub parmul: rr_mp::ParMulStats,
 }
 
 impl SolveStats {
@@ -451,7 +381,7 @@ impl RootApproximator {
     /// as such in DESIGN.md.)
     pub fn approximate_roots(&self, p: &Poly) -> Result<RootsResult, SolveError> {
         // Legacy single-solve entry point: one throwaway session on the
-        // shared global runtime. The config's backend travels with the
+        // shared global runtime. The config's kernel policy travels with the
         // session context instead of a process-wide swap, so interleaved
         // solvers with different configs no longer corrupt each other.
         crate::session::Session::new(self.config).solve(p)
@@ -487,7 +417,7 @@ impl Supervision {
 }
 
 /// A per-task hook installing `ctx` on the executing worker, so pool
-/// tasks inherit the solve's backend and record into its sink. Under
+/// tasks inherit the solve's kernel policy and record into its sink. Under
 /// supervision the hook also composes the fault injector (inside the
 /// context, so injected panics look like real task panics) and probes
 /// the multiplication budget after every task.
@@ -695,7 +625,6 @@ fn solve_inner(
         bound_bits,
         newton_div: ctx.newton_div_stats(),
         alloc: ctx.alloc_stats(),
-        parmul: ctx.parmul_stats(),
     };
     Ok(RootsResult {
         roots: scaled.into_iter().map(|num| Dyadic::new(num, cfg.mu)).collect(),
@@ -740,7 +669,6 @@ fn baseline_fallback(
         bound_bits: root_bound_bits(p),
         newton_div: ctx.newton_div_stats(),
         alloc: ctx.alloc_stats(),
-        parmul: ctx.parmul_stats(),
     };
     Ok(RootsResult {
         roots: scaled.into_iter().map(|num| Dyadic::new(num, cfg.mu)).collect(),

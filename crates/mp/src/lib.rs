@@ -4,49 +4,49 @@
 //! cost model of the UNIX `mp` package used by Narendran & Tiwari (1991):
 //!
 //! * addition and subtraction run in time linear in the operand sizes;
-//! * multiplication is **schoolbook** — quadratic — by default;
-//! * division is Knuth's Algorithm D — quadratic in the operand sizes.
+//! * multiplication is costed as **schoolbook** — quadratic;
+//! * division is costed as Knuth's Algorithm D — quadratic in the
+//!   operand sizes.
 //!
 //! Every [`Int`] multiplication and division is recorded by the
 //! [`metrics`] module under the currently active [`metrics::Phase`], with
 //! both an operation count and a bit cost `‖a‖·‖b‖` (the product of the
 //! operand bit lengths — the paper's unit of bit complexity).
 //!
-//! ## Two multiplication kernels, one cost model
+//! ## One cost model, two kernel policies
 //!
 //! The paper's Section 4 analysis, and its Figures 2–7, are stated in
 //! multiplication *events* and operand *bit lengths* — exactly what the
 //! [`metrics`] module records, and it records them at the [`Int`] level
-//! **before** any kernel runs. The limb-level kernel is therefore
-//! swappable without disturbing the reproduction: [`backend`] selects
-//! between the paper-faithful schoolbook routine ([`nat::mul`], the
-//! default, matching the quadratic `mp` package the paper timed) and an
-//! opt-in Karatsuba kernel ([`nat::kmul`], `RR_MUL_BACKEND=fast`) for
-//! production-scale runs. The two are held bit-for-bit equal by the
-//! differential suite in `tests/kernel_diff.rs`; only wall-clock
-//! *seconds* (Table 2, Figure 8) depend on the choice.
+//! **before** any kernel runs. The limb-level kernels are therefore free
+//! to differ from the paper's without disturbing the reproduction.
+//! [`Kernels`] is the one knob: [`Kernels::Fast`] (the default) picks
+//! the fastest kernel by operand size — Karatsuba ([`nat::kmul`]) above
+//! its threshold, and Newton-iteration reciprocal and 2-adic exact
+//! division ([`nat::newton_div`], and through [`ExactDivisor`] cached
+//! per-divisor inverses plus a fused dot-product division for the
+//! subresultant remainder step) above theirs, with schoolbook
+//! ([`nat::mul`]) and Algorithm D ([`nat::div`]) as base cases;
+//! [`Kernels::Paper`] runs the quadratic kernels of the `mp` package
+//! the paper timed. Only wall-clock *seconds* (Table 2, Figure 8)
+//! depend on the choice. The kernels are held bit-for-bit equal by the
+//! differential suites `tests/kernel_diff.rs` and `tests/div_diff.rs`,
+//! which call them directly.
 //!
-//! Division is swappable the same way: the paper-faithful Algorithm D
-//! kernel ([`nat::div`], the default) or, under `RR_DIV=newton`, the
-//! kernels in [`nat::newton_div`] — Newton-iteration reciprocal
-//! `div_rem` above a calibrated crossover, 2-adic (Hensel) exact
-//! division whose cost is independent of the divisor's length, and,
-//! through [`ExactDivisor`], cached per-divisor inverses plus a fused
-//! dot-product division for the subresultant remainder step. The
-//! division cost is charged at the `Int` layer before any kernel runs,
-//! so the recorded model is invariant under the switch;
-//! `tests/div_diff.rs` holds the kernels bit-for-bit equal.
+//! Hot-path temporaries come from per-thread [`scratch`] arenas, so a
+//! steady-state solve reuses a handful of limb buffers instead of
+//! allocating at every step.
 //!
 //! ## Sessions
 //!
-//! Backend selection and metrics attribution are carried per solve by a
+//! The kernel policy and metrics attribution are carried per solve by a
 //! [`SolveCtx`] (see the [`session`] module): while a context is
-//! installed on a thread, its backend drives kernel dispatch and its
+//! installed on a thread, its policy drives kernel dispatch and its
 //! private sink receives every recorded event, so concurrent solves
-//! with different backends neither corrupt each other's selection nor
-//! cross-attribute counts. The process-global [`backend`] atomic and the
-//! [`metrics::snapshot`] default sink remain as the compatibility layer
-//! for code running outside any session.
+//! with different policies neither corrupt each other's selection nor
+//! cross-attribute counts. Code running outside any session runs
+//! [`Kernels::Fast`] and records into the [`metrics::snapshot`] default
+//! sink.
 //!
 //! ## Example
 //!
@@ -64,8 +64,8 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod gcd;
+pub mod kernels;
 pub mod limb;
 pub mod metrics;
 pub mod nat;
@@ -76,12 +76,8 @@ mod divisor;
 mod fmt;
 mod int;
 
-pub use backend::{
-    arena_enabled, div_backend, mul_backend, par_mul_mode, poly_mul_backend, set_arena_enabled,
-    set_div_backend, set_mul_backend, set_par_mul_mode, set_poly_mul_backend, DivBackend,
-    MulBackend, ParMulMode, PolyMulBackend,
-};
 pub use divisor::ExactDivisor;
 pub use int::{Int, Sign};
-pub use metrics::{AllocStats, KroneckerStats, MetricsSink, NewtonDivStats, ParMulStats, PhaseAlloc};
-pub use session::{active_poly_mul_backend, CtxGuard, SolveCtx};
+pub use kernels::{active_kernels, Kernels};
+pub use metrics::{AllocStats, KroneckerStats, MetricsSink, NewtonDivStats, PhaseAlloc};
+pub use session::{CtxGuard, SolveCtx};

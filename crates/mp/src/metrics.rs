@@ -49,9 +49,9 @@
 //! session:
 //!
 //! ```
-//! use rr_mp::{metrics::Phase, Int, MulBackend, SolveCtx};
+//! use rr_mp::{metrics::Phase, Int, Kernels, SolveCtx};
 //!
-//! let ctx = SolveCtx::new(MulBackend::Schoolbook);
+//! let ctx = SolveCtx::new(Kernels::Paper);
 //! ctx.run(|| {
 //!     rr_mp::metrics::with_phase(Phase::Sieve, || {
 //!         let _ = Int::from(11u64) * Int::from(13u64);
@@ -138,33 +138,22 @@ pub(crate) struct ThreadCounters {
     div_bits: [AtomicU64; NUM_PHASES],
     // Kronecker execution counters. Deliberately NOT part of
     // `CostSnapshot`: the paper cost model above must stay identical
-    // across polynomial backends (its `PartialEq` backs the
-    // backend-invariance assertions), while these describe what the
+    // across kernel policies (its `PartialEq` backs the
+    // kernel-invariance assertions), while these describe what the
     // Kronecker path actually executed. Read via `KroneckerStats`.
     kron_muls: AtomicU64,
     kron_packed_bits: AtomicU64,
     // Newton-division execution counters; outside `CostSnapshot` for the
-    // same reason (div cost is charged backend-invariantly at the `Int`
+    // same reason (div cost is charged kernel-invariantly at the `Int`
     // layer). Read via `NewtonDivStats`.
     newton_divs: AtomicU64,
     newton_recip_iters: AtomicU64,
     newton_corrections: AtomicU64,
     newton_exact_divs: AtomicU64,
     newton_hensel_steps: AtomicU64,
-    // Parallel-multiplication execution counters; outside `CostSnapshot`
-    // for the same reason (the model charge is recorded at the `Int`
-    // layer before the kernel runs, so it cannot vary with `RR_PAR_MUL`).
-    // Read via `ParMulStats`.
-    parmul_products: AtomicU64,
-    parmul_tasks: AtomicU64,
-    parmul_steals: AtomicU64,
-    parmul_operand_bits: AtomicU64,
-    parmul_work_ns: AtomicU64,
-    parmul_span_ns: AtomicU64,
     // Physical limb-buffer allocations per phase (scratch-arena cold
-    // misses and gate-off acquisitions); outside `CostSnapshot` because
-    // they vary with `RR_ARENA` while the model cost must not. Read via
-    // `AllocStats`.
+    // misses); outside `CostSnapshot` because they vary with how warm
+    // the arena is while the model cost must not. Read via `AllocStats`.
     alloc_count: [AtomicU64; NUM_PHASES],
     alloc_bytes: [AtomicU64; NUM_PHASES],
 }
@@ -208,23 +197,6 @@ impl ThreadCounters {
     }
 
     #[inline]
-    pub(crate) fn record_parmul(
-        &self,
-        tasks: u64,
-        steals: u64,
-        operand_bits: u64,
-        work_ns: u64,
-        span_ns: u64,
-    ) {
-        self.parmul_products.fetch_add(1, Ordering::Relaxed);
-        self.parmul_tasks.fetch_add(tasks, Ordering::Relaxed);
-        self.parmul_steals.fetch_add(steals, Ordering::Relaxed);
-        self.parmul_operand_bits.fetch_add(operand_bits, Ordering::Relaxed);
-        self.parmul_work_ns.fetch_add(work_ns, Ordering::Relaxed);
-        self.parmul_span_ns.fetch_add(span_ns, Ordering::Relaxed);
-    }
-
-    #[inline]
     pub(crate) fn record_alloc(&self, phase: usize, bytes: u64) {
         self.alloc_count[phase].fetch_add(1, Ordering::Relaxed);
         self.alloc_bytes[phase].fetch_add(bytes, Ordering::Relaxed);
@@ -235,8 +207,8 @@ impl ThreadCounters {
 /// as opposed to what the paper cost model charged for it.
 ///
 /// Kept separate from [`CostSnapshot`] on purpose: the model counters
-/// are asserted bit-identical across polynomial backends, so anything
-/// that *varies* with the backend must live outside them.
+/// are asserted bit-identical across kernel policies, so anything that
+/// *varies* with the policy must live outside them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KroneckerStats {
     /// Number of polynomial products routed through Kronecker
@@ -253,7 +225,7 @@ pub struct KroneckerStats {
 ///
 /// Kept separate from [`CostSnapshot`] for the same reason as
 /// [`KroneckerStats`]: the model counters are asserted bit-identical
-/// across division backends, so anything that varies with `RR_DIV`
+/// across kernel policies, so anything that varies with the policy
 /// must live outside them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NewtonDivStats {
@@ -277,47 +249,6 @@ pub struct NewtonDivStats {
     /// Stays far below `exact_divs` when [`crate::ExactDivisor`]
     /// amortization is effective.
     pub hensel_steps: u64,
-}
-
-/// What the parallel-multiplication (fork-join) path actually executed,
-/// as opposed to what the paper cost model charged for it.
-///
-/// Kept separate from [`CostSnapshot`] for the same reason as
-/// [`KroneckerStats`]: the model charge for every product is recorded at
-/// the `Int` dispatch layer *before* the kernel runs, so it is identical
-/// whether the kernel then executes serially or split across workers —
-/// anything that varies with `RR_PAR_MUL` must live outside the model
-/// counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ParMulStats {
-    /// Number of big-integer products (mul or sqr) that engaged the
-    /// fork-join splitting layer at the top level.
-    pub products: u64,
-    /// Total fork-join subtasks published across those products (each
-    /// Karatsuba split publishes its independent halves; limb-block
-    /// tiling publishes one task per remote tile).
-    pub tasks: u64,
-    /// How many of those subtasks were actually executed by a worker
-    /// other than the submitter (the rest were retracted and run
-    /// inline). `steals / tasks` is the realized offload ratio.
-    pub steals: u64,
-    /// Sum over split products of the larger operand's bit length — the
-    /// size distribution of work the splitter considered worth
-    /// parallelizing.
-    pub operand_bits: u64,
-    /// Serial execution time of the split products, in nanoseconds: the
-    /// sum of every fork-join closure's own wall-clock, measured on
-    /// whichever worker executed it (Cilk-style *work*, `T₁`).
-    pub work_ns: u64,
-    /// Critical-path time of the split products, in nanoseconds: at each
-    /// fork the longer half, summed along the deepest chain (Cilk-style
-    /// *span*, `T_∞`). `work_ns / span_ns` is the available parallelism
-    /// of the splits — what an unbounded pool could exploit.
-    /// `parmul_ablation` Brent-bounds its simulated speedups from these
-    /// two, the same measured-durations-replayed substitution that
-    /// `speedups`/`speedup_report` use for the paper's 20-processor
-    /// host (DESIGN.md §16).
-    pub span_ns: u64,
 }
 
 /// Physical limb-buffer allocation totals for one phase.
@@ -349,10 +280,9 @@ impl AddAssign for PhaseAlloc {
 /// opposed to what the paper cost model charged.
 ///
 /// Kept separate from [`CostSnapshot`] on purpose: the model counters
-/// are asserted bit-identical with arenas on and off (`RR_ARENA`), so a
-/// counter whose whole point is to *vary* with the arena gate must live
-/// outside them — the same separation as [`KroneckerStats`] and
-/// [`NewtonDivStats`].
+/// are deterministic, while allocations vary with how warm the thread's
+/// arena is (a repeated solve allocates less than a cold one) — the
+/// same separation as [`KroneckerStats`] and [`NewtonDivStats`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AllocStats {
     phases: [PhaseAlloc; NUM_PHASES],
@@ -476,21 +406,6 @@ impl MetricsSink {
         out
     }
 
-    /// Aggregates the parallel-multiplication execution counters of
-    /// every thread that has recorded into this sink.
-    pub fn parmul_snapshot(&self) -> ParMulStats {
-        let mut out = ParMulStats::default();
-        for c in self.inner.threads.lock().iter() {
-            out.products += c.parmul_products.load(Ordering::Relaxed);
-            out.tasks += c.parmul_tasks.load(Ordering::Relaxed);
-            out.steals += c.parmul_steals.load(Ordering::Relaxed);
-            out.operand_bits += c.parmul_operand_bits.load(Ordering::Relaxed);
-            out.work_ns += c.parmul_work_ns.load(Ordering::Relaxed);
-            out.span_ns += c.parmul_span_ns.load(Ordering::Relaxed);
-        }
-        out
-    }
-
     /// Aggregates the physical allocation counters of every thread that
     /// has recorded into this sink.
     pub fn alloc_snapshot(&self) -> AllocStats {
@@ -537,7 +452,7 @@ thread_local! {
 /// [`CostSnapshot`]). Everything else records unsampled.
 mod obs_metrics {
     use super::{ALL_PHASES, NUM_PHASES};
-    use rr_obs::metrics::{histogram_with, Counter, Histogram};
+    use rr_obs::metrics::{histogram_with, Histogram};
     use std::cell::Cell;
     use std::sync::LazyLock;
 
@@ -584,16 +499,6 @@ mod obs_metrics {
         "rr_mp_operand_bits",
         "Largest operand bit length per Int arithmetic dispatch (sampled 1:64 per thread)",
         "op" => "div"
-    );
-    pub(super) static PARMUL_TASKS: LazyLock<Counter> = rr_obs::register_metric!(
-        counter,
-        "rr_parmul_tasks_total",
-        "Fork-join subtasks published by the parallel multiplication splitter"
-    );
-    pub(super) static PARMUL_BITS: LazyLock<Histogram> = rr_obs::register_metric!(
-        histogram,
-        "rr_parmul_operand_bits",
-        "Larger operand bit length per fork-join-split big-integer product"
     );
 }
 
@@ -730,24 +635,6 @@ pub fn record_newton_exact_div(hensel_steps: u64) {
     LOCAL.with(|c| c.record_newton_exact_div(hensel_steps));
 }
 
-/// Records one big-integer product split by the fork-join layer:
-/// `tasks` subtasks published, of which `steals` were executed by other
-/// workers, on a product whose larger operand was `operand_bits` bits
-/// and whose fork-join tree measured `work_ns` of serial execution over
-/// a `span_ns` critical path. Called from `nat::parmul`; not usually
-/// called directly. Routes to the installed session sink if any, else
-/// to the process-global default sink, and feeds the always-on registry
-/// series `rr_parmul_tasks_total` / `rr_parmul_operand_bits`.
-#[inline]
-pub fn record_parmul(tasks: u64, steals: u64, operand_bits: u64, work_ns: u64, span_ns: u64) {
-    obs_metrics::PARMUL_TASKS.add(tasks);
-    obs_metrics::PARMUL_BITS.record(operand_bits);
-    if crate::session::record_session_parmul(tasks, steals, operand_bits, work_ns, span_ns) {
-        return;
-    }
-    LOCAL.with(|c| c.record_parmul(tasks, steals, operand_bits, work_ns, span_ns));
-}
-
 /// Records one limb-buffer allocation of `bytes` bytes that reached the
 /// system allocator, under the calling thread's current phase. Called
 /// from the scratch layer ([`crate::scratch`]); not usually called
@@ -783,13 +670,6 @@ pub fn kron_snapshot() -> KroneckerStats {
 /// [`crate::SolveCtx`] installed).
 pub fn newton_div_snapshot() -> NewtonDivStats {
     default_sink().newton_div_snapshot()
-}
-
-/// Aggregates the parallel-multiplication execution counters of the
-/// process-global default sink (events recorded with no
-/// [`crate::SolveCtx`] installed).
-pub fn parmul_snapshot() -> ParMulStats {
-    default_sink().parmul_snapshot()
 }
 
 /// Cost totals for one phase.
@@ -979,15 +859,18 @@ mod tests {
 
     #[test]
     fn total_sums_phases() {
-        let before = snapshot();
-        with_phase(Phase::Sort, || {
-            let _ = Int::from(3u64) * Int::from(5u64);
+        // A private sink: `total()` spans every phase, so on the global
+        // sink it would also count concurrently running tests' events.
+        let ctx = crate::SolveCtx::new(crate::Kernels::Fast);
+        ctx.run(|| {
+            with_phase(Phase::Sort, || {
+                let _ = Int::from(3u64) * Int::from(5u64);
+            });
+            with_phase(Phase::Sieve, || {
+                let _ = Int::from(3u64) * Int::from(5u64);
+            });
         });
-        with_phase(Phase::Sieve, || {
-            let _ = Int::from(3u64) * Int::from(5u64);
-        });
-        let d = snapshot() - before;
-        assert_eq!(d.total().mul_count, 2);
+        assert_eq!(ctx.snapshot().total().mul_count, 2);
     }
 
     #[test]

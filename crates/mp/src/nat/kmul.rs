@@ -1,4 +1,4 @@
-//! Karatsuba multiplication of magnitudes — the `Fast` backend kernel.
+//! Karatsuba multiplication of magnitudes — the `Kernels::Fast` kernel.
 //!
 //! Above [`KARATSUBA_THRESHOLD`] limbs the routines here recurse with the
 //! three-multiplication split
@@ -17,7 +17,7 @@
 //! [`crate::metrics`]: cost attribution happens once per `Int`
 //! multiplication in `Int::mul`/`Int::square`, before any kernel runs,
 //! which is what keeps the paper's predicted-vs-observed counts
-//! identical under both backends (see [`crate::backend`]).
+//! identical under both kernel policies (see [`crate::kernels`]).
 
 use super::{mul, trim};
 use crate::limb::Limb;
@@ -179,10 +179,8 @@ fn mul_chunked_into(long: &[Limb], short: &[Limb], threshold: usize, out: &mut V
 
 /// Adds `p` into `out` starting `offset` limbs up, propagating the
 /// carry. The caller guarantees the running sum fits in `out` (partial
-/// sums of a product never exceed the full product). Shared with the
-/// fork-join kernels in [`super::parmul`], whose combine step is the
-/// same limb-offset accumulation.
-pub(super) fn add_at(out: &mut [Limb], offset: usize, p: &[Limb]) {
+/// sums of a product never exceed the full product).
+fn add_at(out: &mut [Limb], offset: usize, p: &[Limb]) {
     let mut carry: Limb = 0;
     let mut i = offset;
     for &x in p {

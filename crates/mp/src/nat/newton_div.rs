@@ -1,4 +1,4 @@
-//! Newton-iteration reciprocal division — the `DivBackend::Newton`
+//! Newton-iteration reciprocal division — the `Kernels::Fast` division
 //! kernel.
 //!
 //! Knuth's Algorithm D ([`super::div`]) computes one quotient limb per
@@ -59,7 +59,7 @@
 //! Like the multiplication kernels, these functions record **nothing**
 //! in the paper cost model: `Int::div_rem` charges the Algorithm D work
 //! estimate before any kernel runs, so `CostSnapshot` is invariant
-//! under `RR_DIV` by construction. What physically ran is recorded in
+//! under the kernel policy by construction. What physically ran is recorded in
 //! [`crate::metrics::NewtonDivStats`] and, for traced solves, a `"div"`
 //! span.
 
@@ -72,10 +72,9 @@ use std::cmp::Ordering;
 /// the Newton path beats Algorithm D. Below it the reciprocal's fixed
 /// multiplication count loses to the tight schoolbook loop.
 ///
-/// Calibrated with `cargo run --release -p rr-bench --bin div_ablation
-/// -- --sweep` (see EXPERIMENTS.md "Newton division crossover"); the
-/// crossover sits lower when the `Fast` multiplication kernel is
-/// active, so this threshold is chosen for the paired configuration.
+/// Calibrated by the sweep in EXPERIMENTS.md "Newton division
+/// crossover" (raw rows in `results/BENCH_div.json`), with Karatsuba
+/// multiplication active as it always is under `Kernels::Fast`.
 pub const NEWTON_DIV_THRESHOLD: usize = 24;
 
 /// Guard bits of reciprocal precision beyond the quotient length:
@@ -220,7 +219,7 @@ fn recip(v: &[Limb], t: u64, p: u64, iters: &mut u64) -> Vec<Limb> {
 /// Algorithm D (its cost depends only on the quotient length, so the
 /// divisor-side gate is much laxer than [`NEWTON_DIV_THRESHOLD`]).
 ///
-/// Calibrated with `div_ablation --sweep` (EXPERIMENTS.md).
+/// Calibrated by the same sweep (EXPERIMENTS.md).
 pub const NEWTON_EXACT_THRESHOLD: usize = 16;
 
 /// Truncates/zero-pads `v` to exactly `n` limbs (fixed-width word of the
@@ -279,7 +278,7 @@ pub(crate) fn mul_low_into(a: &[Limb], b: &[Limb], n: usize, out: &mut Vec<Limb>
     let (a0, a1) = a.split_at(h.min(a.len()));
     let (b0, b1) = b.split_at(h.min(b.len()));
     // a0·b0 in full (2h ≥ n limbs of it are kept), via the active
-    // backend's full-product kernel; one scratch buffer serves the full
+    // full-product kernel; one scratch buffer serves the full
     // product and then both recursive low products in turn.
     let mut p = crate::scratch::take(a0.len() + b0.len());
     super::mul_auto_into(a0, b0, &mut p);

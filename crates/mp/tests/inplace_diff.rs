@@ -13,39 +13,28 @@
 //! * **aliased operands** — `f(a, a)` shapes, which the in-place
 //!   rewrites make much easier to produce than the allocating API did.
 //!
-//! Each property runs its kernel with the arena both **on** and **off**
-//! (via a private `SolveCtx`, so concurrently running tests with
-//! different settings never interfere) and compares both against the
-//! allocating twin computed outside any context.
+//! Each property runs its kernel on a poisoned arena and compares the
+//! result against the allocating twin.
 
 use proptest::prelude::*;
 use rr_mp::nat::{self, div, kmul, mul, newton_div};
-use rr_mp::{scratch, Int, MulBackend, SolveCtx};
+use rr_mp::{scratch, Int};
 
 type Mag = Vec<u64>;
 
 /// Sentinel limb pattern that makes "read before write" failures loud.
 const POISON: u64 = 0xDEAD_BEEF_DEAD_BEEF;
 
-/// Seeds the calling thread's arena with dirty buffers, then runs `f`
-/// with the arena enabled. The buffers' spare capacity holds `POISON`,
-/// so a kernel that trusts scratch contents produces garbage.
+/// Seeds the calling thread's arena with dirty buffers, then runs `f`.
+/// The buffers' spare capacity holds `POISON`, so a kernel that trusts
+/// scratch contents produces garbage.
 fn with_poisoned_arena<T>(f: impl FnOnce() -> T) -> T {
-    let ctx = SolveCtx::new(MulBackend::Schoolbook).with_arena(true);
-    ctx.run(|| {
-        for limbs in [16usize, 64, 256] {
-            let mut b = scratch::take(limbs);
-            b.resize(limbs, POISON);
-            scratch::put(b);
-        }
-        f()
-    })
-}
-
-/// Runs `f` with the arena explicitly off (every take allocates fresh).
-fn with_arena_off<T>(f: impl FnOnce() -> T) -> T {
-    let ctx = SolveCtx::new(MulBackend::Schoolbook).with_arena(false);
-    ctx.run(f)
+    for limbs in [16usize, 64, 256] {
+        let mut b = scratch::take(limbs);
+        b.resize(limbs, POISON);
+        scratch::put(b);
+    }
+    f()
 }
 
 /// A dirty output buffer: nonzero length, poisoned contents.
@@ -64,15 +53,12 @@ fn arb_mag(max_limbs: usize) -> impl Strategy<Value = Mag> {
         .prop_map(|(random, edges, pick)| if pick { random } else { edges })
 }
 
-/// Checks one `_into` kernel against its allocating twin under dirty
-/// outputs, a poisoned arena, and a disabled arena.
+/// Checks one `_into` kernel against its allocating twin under a dirty
+/// output and a poisoned arena.
 fn check_into(expect: &[u64], run: impl Fn(&mut Mag)) {
     let mut out = dirty_out();
     with_poisoned_arena(|| run(&mut out));
     assert_eq!(out, expect, "poisoned arena");
-    let mut out = dirty_out();
-    with_arena_off(|| run(&mut out));
-    assert_eq!(out, expect, "arena off");
 }
 
 proptest! {
@@ -173,8 +159,6 @@ proptest! {
         let expect = div::div_rem(&u, &v);
         let got_poisoned = with_poisoned_arena(|| newton_div::div_rem_with_threshold(&u, &v, 1));
         prop_assert_eq!(&got_poisoned, &expect);
-        let got_off = with_arena_off(|| newton_div::div_rem_with_threshold(&u, &v, 1));
-        prop_assert_eq!(&got_off, &expect);
     }
 
     #[test]
@@ -190,8 +174,6 @@ proptest! {
         let got_poisoned =
             with_poisoned_arena(|| newton_div::div_exact_with_threshold(&u, &v, 1));
         prop_assert_eq!(&got_poisoned, &expect);
-        let got_off = with_arena_off(|| newton_div::div_exact_with_threshold(&u, &v, 1));
-        prop_assert_eq!(&got_off, &expect);
     }
 
     #[test]
@@ -202,9 +184,6 @@ proptest! {
         let expect = &x * &y;
         let mut out = Int::from(77);
         with_poisoned_arena(|| x.mul_into(&y, &mut out));
-        prop_assert_eq!(&out, &expect);
-        let mut out = Int::from(-3);
-        with_arena_off(|| x.mul_into(&y, &mut out));
         prop_assert_eq!(&out, &expect);
     }
 
@@ -222,9 +201,6 @@ proptest! {
         let expect_add = &acc + &(&x * &y);
         let mut got = acc.clone();
         with_poisoned_arena(|| got.sub_mul_assign(&x, &y));
-        prop_assert_eq!(&got, &expect_sub);
-        let mut got = acc.clone();
-        with_arena_off(|| got.sub_mul_assign(&x, &y));
         prop_assert_eq!(&got, &expect_sub);
         let mut got = acc.clone();
         with_poisoned_arena(|| got.add_mul_assign(&x, &y));
@@ -255,47 +231,41 @@ proptest! {
 /// kernel (cross-kernel dirty reuse).
 #[test]
 fn cross_kernel_buffer_reuse_is_clean() {
-    let ctx = SolveCtx::new(MulBackend::Fast).with_arena(true);
-    ctx.run(|| {
-        let a: Mag = (1..=32u64).map(|i| i.wrapping_mul(POISON)).collect();
-        let b: Mag = (1..=24u64).map(|i| i.wrapping_mul(0x1234_5678_9ABC_DEF1)).collect();
-        let expect_mul = mul::mul(&a, &b);
-        let expect_sq = mul::mul(&a, &a);
-        let (expect_q, expect_r) = div::div_rem(&expect_mul, &b);
-        // Interleave kernels so each picks up buffers the previous one
-        // retained.
-        for _ in 0..4 {
-            let mut out = Vec::new();
-            kmul::mul_with_threshold_into(&a, &b, 4, &mut out);
-            assert_eq!(out, expect_mul);
-            let mut sq = Vec::new();
-            kmul::sqr_with_threshold_into(&a, 4, &mut sq);
-            assert_eq!(sq, expect_sq);
-            let (q, r) = newton_div::div_rem_with_threshold(&expect_mul, &b, 1);
-            assert_eq!((q, r), (expect_q.clone(), expect_r.clone()));
-        }
-    });
+    let a: Mag = (1..=32u64).map(|i| i.wrapping_mul(POISON)).collect();
+    let b: Mag = (1..=24u64).map(|i| i.wrapping_mul(0x1234_5678_9ABC_DEF1)).collect();
+    let expect_mul = mul::mul(&a, &b);
+    let expect_sq = mul::mul(&a, &a);
+    let (expect_q, expect_r) = div::div_rem(&expect_mul, &b);
+    // Interleave kernels so each picks up buffers the previous one
+    // retained.
+    for _ in 0..4 {
+        let mut out = Vec::new();
+        kmul::mul_with_threshold_into(&a, &b, 4, &mut out);
+        assert_eq!(out, expect_mul);
+        let mut sq = Vec::new();
+        kmul::sqr_with_threshold_into(&a, 4, &mut sq);
+        assert_eq!(sq, expect_sq);
+        let (q, r) = newton_div::div_rem_with_threshold(&expect_mul, &b, 1);
+        assert_eq!((q, r), (expect_q.clone(), expect_r.clone()));
+    }
 }
 
 /// Balanced take/put accounting: the hot kernels return every scratch
 /// buffer they take, so the arena's outstanding count returns to zero.
 #[test]
 fn kernels_return_all_scratch_buffers() {
-    let ctx = SolveCtx::new(MulBackend::Fast).with_arena(true);
-    ctx.run(|| {
-        let a: Mag = vec![u64::MAX; 40];
-        let b: Mag = vec![0x0123_4567_89AB_CDEF; 33];
-        let mut out = Vec::new();
-        kmul::mul_with_threshold_into(&a, &b, 4, &mut out);
-        let _ = newton_div::div_rem_with_threshold(&out, &b, 1);
-        let retained_before = scratch::retained_on_thread();
-        let mut out2 = Vec::new();
-        kmul::mul_with_threshold_into(&a, &b, 4, &mut out2);
-        // Steady state: reuse without growth.
-        assert!(scratch::retained_on_thread() >= 1);
-        assert!(scratch::retained_on_thread() <= retained_before.max(1) + 2);
-        // Releasing the thread arena empties the free list.
-        scratch::release_thread();
-        assert_eq!(scratch::retained_on_thread(), 0);
-    });
+    let a: Mag = vec![u64::MAX; 40];
+    let b: Mag = vec![0x0123_4567_89AB_CDEF; 33];
+    let mut out = Vec::new();
+    kmul::mul_with_threshold_into(&a, &b, 4, &mut out);
+    let _ = newton_div::div_rem_with_threshold(&out, &b, 1);
+    let retained_before = scratch::retained_on_thread();
+    let mut out2 = Vec::new();
+    kmul::mul_with_threshold_into(&a, &b, 4, &mut out2);
+    // Steady state: reuse without growth.
+    assert!(scratch::retained_on_thread() >= 1);
+    assert!(scratch::retained_on_thread() <= retained_before.max(1) + 2);
+    // Releasing the thread arena empties the free list.
+    scratch::release_thread();
+    assert_eq!(scratch::retained_on_thread(), 0);
 }

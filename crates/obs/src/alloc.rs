@@ -6,10 +6,9 @@
 //! down. That number is recorded here — in `rr-obs` rather than in the
 //! metrics cost model — for two reasons:
 //!
-//! * it is **physical**, not modeled: the paper cost snapshot must stay
-//!   bit-identical with arenas on and off (that equality is asserted by
-//!   `tests/arena_diff.rs`), so anything that varies with `RR_ARENA`
-//!   cannot live in `CostSnapshot`; and
+//! * it is **physical**, not modeled: the paper cost snapshot must be
+//!   deterministic, while allocations vary with how warm a thread's
+//!   arena is, so they cannot live in `CostSnapshot`; and
 //! * the **scheduler** wants per-task deltas: `rr-sched` (which cannot
 //!   depend on `rr-mp`) reads this counter around every pool task to
 //!   attribute allocation churn to scopes, surfacing the totals in

@@ -59,6 +59,11 @@ fn rendered_text_matches_the_exposition_format() {
         h2.record(v * 3);
     }
     metrics::counter("schema_total", "schema test counter").add(7);
+    // A counter family with two labels, shaped like `rr_solves_total`.
+    for kernels in ["paper", "fast"] {
+        let labels = [("outcome", "ok"), ("kernels", kernels)];
+        metrics::counter_with("schema_solves_total", "schema test labeled counter", &labels).inc();
+    }
     metrics::gauge("schema_depth", "schema test gauge").set(-3);
 
     let text = metrics::render_prometheus();
@@ -143,6 +148,17 @@ fn rendered_text_matches_the_exposition_format() {
     assert!(typed_families.iter().any(|f| f == "schema_ns"));
     assert!(typed_families.iter().any(|f| f == "schema_total"));
     assert!(typed_families.iter().any(|f| f == "schema_depth"));
+    let labeled: Vec<_> = text
+        .lines()
+        .filter(|l| l.starts_with("schema_solves_total{"))
+        .map(parse_series)
+        .collect();
+    assert_eq!(labeled.len(), 2, "one series per label set");
+    for (_, labels, value) in &labeled {
+        let keys: Vec<&str> = labels.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["outcome", "kernels"], "labels render in registration order");
+        assert_eq!(*value, 1.0);
+    }
     let schema_hists: Vec<_> = hist_state
         .iter()
         .filter(|(k, ..)| k.starts_with("schema_ns|"))

@@ -52,9 +52,9 @@ impl ScaledPoly {
     ///
     /// Construction is pure limb shifts (`c_j · 2^(d−j)µ`), so it costs
     /// nothing in the multiplication model and is unaffected by the
-    /// active [`rr_mp::PolyMulBackend`]; only the polynomial *products*
+    /// active [`rr_mp::Kernels`] policy; only the polynomial *products*
     /// that build the inputs handed to `ScaledPoly` (remainder sequence,
-    /// tree stage) dispatch on that backend.
+    /// tree stage) dispatch on that policy.
     ///
     /// # Panics
     /// Panics on the zero polynomial.

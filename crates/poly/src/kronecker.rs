@@ -6,12 +6,12 @@
 //! big-integer multiplication followed by unpacking recovers the exact
 //! polynomial product. This collapses the `(d_a+1)(d_b+1)` coefficient
 //! loop onto the single integer kernel `rr_mp` has already made fast
-//! (`MulBackend::Fast`, Karatsuba), making dense polynomial
+//! (Karatsuba under `Kernels::Fast`), making dense polynomial
 //! multiplication subquadratic end-to-end. The packed product only does
-//! *less* limb work than the coefficient loop when the integer kernel is
-//! subquadratic — pairing `Kronecker` with the schoolbook limb kernel
-//! performs the same quadratic work plus packing overhead (the
-//! `polymul_ablation --sweep` tables show both pairings).
+//! *less* limb work than the coefficient loop because the integer
+//! kernel is subquadratic, which is why `Kernels::Fast` is the only
+//! policy that dispatches here (EXPERIMENTS.md "Kronecker crossover"
+//! and `results/BENCH_polymul.json` hold the measured pairings).
 //!
 //! ## Slot width
 //!
@@ -59,7 +59,7 @@
 //! bulk update ([`rr_mp::metrics::record_mul_bulk`]). The big packed
 //! multiplication then goes through `rr_mp::nat` on raw magnitudes,
 //! which records nothing. Predicted-vs-observed figures are therefore
-//! bit-identical across polynomial backends; what actually ran is
+//! bit-identical across kernel policies; what actually ran is
 //! visible in [`rr_mp::KroneckerStats`] and in the `"polymul"` span an
 //! installed `rr-obs` recorder captures.
 
@@ -73,15 +73,14 @@ use std::cmp::Ordering;
 /// packing overhead dominates and schoolbook wins — the schoolbook loop
 /// skips zero coefficients, so sparse operands (the remainder stage's
 /// monomial quotients, say) do far less work than their dense degree
-/// suggests, and the gate must count the same way. Calibrated with
-/// `cargo run --release -p rr-bench --bin polymul_ablation -- --sweep`
-/// (see EXPERIMENTS.md "Kronecker crossover").
+/// suggests, and the gate must count the same way. Calibrated by the
+/// sweep in EXPERIMENTS.md "Kronecker crossover".
 pub const KRONECKER_MIN_LEN: usize = 8;
 
 /// Calibrated dispatch gate: is the Kronecker path expected to beat the
 /// schoolbook loop for these operands? One allocation-free scan of the
-/// coefficients. Exposed so callers forcing a backend for differential
-/// testing can also test the gate itself.
+/// coefficients. Exposed so differential tests that force a path can
+/// also test the gate itself.
 ///
 /// The crossover depends on **both** dimensions. Replacing `d²`
 /// coefficient products of `m`-limb operands by one Karatsuba

@@ -5,8 +5,9 @@
 //! * [`Poly`] — dense polynomials with [`rr_mp::Int`] coefficients. The
 //!   *recorded* multiplication model is always the classical schoolbook
 //!   count, matching the paper; the executed kernel is selected per
-//!   session ([`rr_mp::PolyMulBackend`]): the schoolbook loop, or
-//!   [`kronecker`] substitution onto one big-integer product;
+//!   session ([`rr_mp::Kernels`]): the schoolbook loop, or, under
+//!   `Fast` and above a size gate, [`kronecker`] substitution onto one
+//!   big-integer product;
 //! * [`eval`] — Horner evaluation at integers and, via [`eval::ScaledPoly`],
 //!   the scaled-integer evaluation of Section 4.3 (rational points `Y/2^µ`
 //!   represented by the integer `Y`);

@@ -58,7 +58,7 @@ pub use estimate::{estimated_queue_wait, task_latency_p50};
 pub use fault::{FaultAction, FaultInjector, FaultPlan};
 pub use graph::Gate;
 pub use pool::{
-    current_parallelism, current_task_id, join_here, run, run_traced, set_worker_idle_hook,
-    AbortKind, Pool, PoolStats, Scope, ScopeAbort, ScopeConfig, TaskRecord, TaskTrace, TaskWrapper,
+    current_task_id, run, run_traced, set_worker_idle_hook, AbortKind, Pool, PoolStats, Scope,
+    ScopeAbort, ScopeConfig, TaskRecord, TaskTrace, TaskWrapper,
 };
 pub use sim::{concurrency_profile, critical_path, simulate_makespan, simulate_speedups};

@@ -80,11 +80,6 @@ mod m {
         gauge, "rr_sched_queue_depth", "Queued tasks in the most recently polled scope");
     pub(super) static WORKERS: LazyLock<Gauge> = rr_obs::register_metric!(
         gauge, "rr_sched_workers", "Live pool worker threads");
-    pub(super) static JOINS: LazyLock<Counter> = rr_obs::register_metric!(
-        counter, "rr_sched_joins_total", "Fork-join splits published to a scope");
-    pub(super) static JOIN_STEALS: LazyLock<Counter> = rr_obs::register_metric!(
-        counter, "rr_sched_join_steals_total",
-        "Fork-join halves executed by a thread other than the submitter");
 }
 
 /// A task: runs once, may spawn more tasks through the scope.
@@ -156,19 +151,6 @@ impl TaskTrace {
 
 thread_local! {
     static CURRENT_TASK: Cell<Option<u64>> = const { Cell::new(None) };
-    /// The scope a pool worker is currently draining. Installed by
-    /// [`drain_scope`] for the whole drain, so arithmetic kernels deep
-    /// inside a task can reach the scope ([`join_here`]) without the
-    /// [`Scope`] handle being plumbed through every call signature.
-    static CURRENT_SCOPE: Cell<Option<ScopeRef>> = const { Cell::new(None) };
-}
-
-/// Raw handle to the scope being drained on this thread. The pointer is
-/// valid for exactly the dynamic extent of [`drain_scope`], which holds
-/// an `Arc<ScopeCore>` across it.
-#[derive(Clone, Copy)]
-struct ScopeRef {
-    core: *const ScopeCore,
 }
 
 /// The scope-local id of the task currently executing on this thread
@@ -247,13 +229,6 @@ struct ScopeCore {
     stats: Mutex<Vec<(u64, Duration)>>,
     done_lock: Mutex<()>,
     done_cv: Condvar,
-    /// Published fork-join stubs (addresses of stack-allocated
-    /// [`JoinStub`]s), LIFO so thieves take the most recently split —
-    /// and therefore largest-granularity — half first. A stub pointer is
-    /// valid while it is in this list or claimed-and-executing: the
-    /// submitting frame in [`join_on`] does not return (or unwind) until
-    /// its stub is retracted or marked done.
-    joins: Mutex<Vec<usize>>,
 }
 
 impl ScopeCore {
@@ -289,7 +264,6 @@ impl ScopeCore {
             stats: Mutex::new(Vec::new()),
             done_lock: Mutex::new(()),
             done_cv: Condvar::new(),
-            joins: Mutex::new(Vec::new()),
         }
     }
 
@@ -445,238 +419,6 @@ impl<'env> Scope<'env> {
     pub fn cancel_token(&self) -> Option<&CancelToken> {
         self.core.cancel.as_ref()
     }
-
-    /// Runs `a` and `b`, potentially in parallel: `b` is published to
-    /// this scope's workers while the calling thread runs `a`, then the
-    /// caller either retracts `b` and runs it inline (nobody claimed it)
-    /// or waits for the thief — helping with *other* published halves of
-    /// the same scope while it waits, so a saturated pool can never
-    /// deadlock on a join. Returns `true` iff `b` was executed by a
-    /// thief.
-    ///
-    /// On a scope with `cap == 1` (or a poisoned/cancelled one) both
-    /// closures run inline with no publication at all — fork-join on a
-    /// single-worker pool is free.
-    ///
-    /// If either closure panics, the panic resurfaces on the calling
-    /// thread (a thief's panic is captured in the stub and re-raised
-    /// here), so scope poisoning works exactly as for a plain task body.
-    pub fn join(&self, a: impl FnOnce() + Send, b: impl FnOnce() + Send) -> bool {
-        join_on(&self.core, a, b)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Fork-join: splitting one task's work across idle scope workers
-// ---------------------------------------------------------------------
-
-/// A published right-hand half of a [`Scope::join`] (or [`join_here`])
-/// call. Lives on the submitting thread's stack; the scope's `joins`
-/// list holds its address while it is claimable.
-struct JoinStub {
-    /// The closure, taken exactly once by whoever executes the stub.
-    work: Mutex<Option<Box<dyn FnOnce() + Send>>>,
-    /// Set (under `done_lock`) after the closure ran or panicked.
-    done: AtomicBool,
-    /// A thief's captured panic, re-raised on the submitting thread.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    done_lock: Mutex<()>,
-    done_cv: Condvar,
-}
-
-impl JoinStub {
-    fn new(work: Box<dyn FnOnce() + Send>) -> JoinStub {
-        JoinStub {
-            work: Mutex::new(Some(work)),
-            done: AtomicBool::new(false),
-            panic: Mutex::new(None),
-            done_lock: Mutex::new(()),
-            done_cv: Condvar::new(),
-        }
-    }
-}
-
-/// Claims the most recently published stub of `core`, if any, and
-/// executes it. Returns whether a stub was executed. Claiming is
-/// removal from the list under the lock, so every stub has exactly one
-/// executor.
-fn try_execute_join(core: &ScopeCore) -> bool {
-    let ptr = core.joins.lock().pop();
-    let Some(ptr) = ptr else { return false };
-    // SAFETY: the pointer was taken from the live list; the submitting
-    // frame blocks until `done` is set, so the stub outlives execution.
-    let stub = unsafe { &*(ptr as *const JoinStub) };
-    m::JOIN_STEALS.inc();
-    execute_stub(core, stub);
-    true
-}
-
-/// Runs a claimed stub through the scope's task wrapper (so the solve's
-/// session context follows the work onto this thread), captures any
-/// panic into the stub, and flags completion. Never unwinds.
-fn execute_stub(core: &ScopeCore, stub: &JoinStub) {
-    let work = stub.work.lock().take().expect("claimed stub executes once");
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut f = Some(work);
-        let mut call = || (f.take().expect("stub runs once"))();
-        match &core.wrapper {
-            Some(w) => w(&mut call),
-            None => call(),
-        }
-    }));
-    if let Err(payload) = result {
-        *stub.panic.lock() = Some(payload);
-    }
-    // Publish completion under the lock so a waiter can't check `done`
-    // and then sleep past the notify.
-    let _g = stub.done_lock.lock();
-    stub.done.store(true, Ordering::SeqCst);
-    stub.done_cv.notify_all();
-}
-
-/// Blocks until `stub` (claimed by a thief) completes, executing other
-/// published stubs of the same scope while it waits. The executing thief
-/// makes progress by assumption (a claimed stub is actively running),
-/// so this terminates; helping keeps the waiter productive when many
-/// joins are in flight.
-fn wait_stub(core: &ScopeCore, stub: &JoinStub) {
-    loop {
-        if stub.done.load(Ordering::SeqCst) {
-            return;
-        }
-        if try_execute_join(core) {
-            continue;
-        }
-        let mut g = stub.done_lock.lock();
-        if !stub.done.load(Ordering::SeqCst) {
-            stub.done_cv.wait_for(&mut g, Duration::from_micros(50));
-        }
-    }
-}
-
-/// Ensures a published stub is resolved even if the left half panics:
-/// the submitting frame must not unwind while its stub's address is
-/// still reachable (list or thief). Disarmed on the normal path.
-struct StubGuard<'a> {
-    core: &'a ScopeCore,
-    stub: &'a JoinStub,
-    armed: bool,
-}
-
-impl Drop for StubGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        // Unwinding with the stub published: retract it (dropping the
-        // right half unexecuted — the scope is being poisoned by the
-        // left half's panic anyway) or, if a thief already claimed it,
-        // wait for the thief. `wait_stub` never unwinds, so this is
-        // safe inside a panic.
-        let addr = self.stub as *const JoinStub as usize;
-        let retracted = {
-            let mut joins = self.core.joins.lock();
-            match joins.iter().position(|&p| p == addr) {
-                Some(i) => {
-                    joins.remove(i);
-                    true
-                }
-                None => false,
-            }
-        };
-        if !retracted {
-            wait_stub(self.core, self.stub);
-        }
-    }
-}
-
-/// [`Scope::join`] without a `Scope` handle: uses the scope the current
-/// pool worker is draining. Outside a pool task (or on a single-worker
-/// scope) both closures simply run inline and `false` is returned —
-/// callers need no fallback path of their own.
-pub fn join_here(a: impl FnOnce() + Send, b: impl FnOnce() + Send) -> bool {
-    match CURRENT_SCOPE.with(Cell::get) {
-        // SAFETY: the ScopeRef is installed for exactly the extent of
-        // `drain_scope`, which holds the core alive; we are inside it.
-        Some(sref) => join_on(unsafe { &*sref.core }, a, b),
-        None => {
-            a();
-            b();
-            false
-        }
-    }
-}
-
-/// How many threads could plausibly cooperate on a split issued from
-/// the current context: the draining scope's concurrency cap minus the
-/// tasks already queued ahead (they will occupy workers anyway), floored
-/// at 1. Returns 1 outside a pool task or on a single-worker scope —
-/// the caller's signal to not bother splitting.
-pub fn current_parallelism() -> usize {
-    match CURRENT_SCOPE.with(Cell::get) {
-        Some(sref) => {
-            // SAFETY: as in `join_here` — installed for the drain extent.
-            let core = unsafe { &*sref.core };
-            if core.cap <= 1 || core.abandoned() {
-                1
-            } else {
-                core.cap.saturating_sub(core.injector.len()).max(1)
-            }
-        }
-        None => 1,
-    }
-}
-
-/// The shared implementation of [`Scope::join`] / [`join_here`].
-fn join_on(core: &ScopeCore, a: impl FnOnce() + Send, b: impl FnOnce() + Send) -> bool {
-    if core.cap <= 1 || core.abandoned() {
-        // Single-worker scope (or one being torn down): nobody could
-        // ever steal the published half, so skip the publication
-        // entirely — this is the zero-overhead inline degradation.
-        a();
-        b();
-        return false;
-    }
-    m::JOINS.inc();
-    // SAFETY: erases the closure's borrow lifetime for storage in the
-    // stub. The stub (and the frames it borrows from) outlives every
-    // access: this function blocks until the closure has run — inline
-    // after retraction, or by a thief before `done` — and the panic
-    // guard enforces the same on unwind.
-    let b: Box<dyn FnOnce() + Send> = unsafe {
-        std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Box<dyn FnOnce() + Send>>(
-            Box::new(b),
-        )
-    };
-    let stub = JoinStub::new(b);
-    let addr = &stub as *const JoinStub as usize;
-    core.joins.lock().push(addr);
-    let mut guard = StubGuard { core, stub: &stub, armed: true };
-    a();
-    // Retract-or-wait. Retraction succeeding means no thief touched the
-    // stub: run the right half inline (the submitter participates in
-    // its own split — saturation can only serialize, never deadlock).
-    let retracted = {
-        let mut joins = core.joins.lock();
-        match joins.iter().position(|&p| p == addr) {
-            Some(i) => {
-                joins.remove(i);
-                true
-            }
-            None => false,
-        }
-    };
-    guard.armed = false;
-    if retracted {
-        let work = stub.work.lock().take().expect("unclaimed stub keeps its work");
-        work();
-        return false;
-    }
-    wait_stub(core, &stub);
-    if let Some(payload) = stub.panic.lock().take() {
-        std::panic::resume_unwind(payload);
-    }
-    true
 }
 
 /// Per-scope execution statistics.
@@ -1094,12 +836,6 @@ fn worker_loop(shared: &PoolShared, worker_idx: usize) {
 /// whether any task was executed.
 fn drain_scope(core: &Arc<ScopeCore>, worker_idx: usize) -> bool {
     let mut did_work = false;
-    // Make the scope reachable from arithmetic kernels executing deep
-    // inside this worker's tasks (`join_here` / `current_parallelism`).
-    // Restored on exit; `core` is held by reference for the whole drain,
-    // so the raw pointer stays valid.
-    let prev_scope =
-        CURRENT_SCOPE.with(|c| c.replace(Some(ScopeRef { core: Arc::as_ptr(core) })));
     loop {
         if core.abandoned() {
             core.drain_abandoned();
@@ -1180,21 +916,12 @@ fn drain_scope(core: &Arc<ScopeCore>, worker_idx: usize) -> bool {
                 continue;
             }
             Steal::Empty => {
-                // No queued task — but a running task may have split
-                // itself: execute one published join half before giving
-                // up on the scope. This is how otherwise-idle workers
-                // lend themselves to a single huge task.
-                if try_execute_join(core) {
-                    did_work = true;
-                    continue;
-                }
                 core.empty_polls.fetch_add(1, Ordering::Relaxed);
                 m::EMPTY_POLLS.inc();
                 break;
             }
         }
     }
-    CURRENT_SCOPE.with(|c| c.set(prev_scope));
     did_work
 }
 
@@ -1670,190 +1397,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(CALLS.load(Ordering::SeqCst) > 0, "idle hook never ran");
-    }
-
-    #[test]
-    fn join_runs_both_halves_inline_outside_pool() {
-        let (mut x, mut y) = (0u64, 0u64);
-        let stolen = join_here(|| x = 1, || y = 2);
-        assert!(!stolen, "no scope to steal from");
-        assert_eq!((x, y), (1, 2));
-        assert_eq!(current_parallelism(), 1);
-    }
-
-    #[test]
-    fn join_on_single_worker_scope_degrades_to_inline() {
-        // cap == 1: the submitting worker is the only drainer, so the
-        // split must not publish anything — both halves run inline and
-        // `stolen` is false for every call.
-        let pool = Pool::new(1);
-        let stole = Arc::new(AtomicU64::new(0));
-        let sum = Arc::new(AtomicU64::new(0));
-        let (stats, _) = pool.scope(
-            ScopeConfig { cap: 1, ..ScopeConfig::default() },
-            |s: &Scope<'_>| {
-                let stole = Arc::clone(&stole);
-                let sum = Arc::clone(&sum);
-                s.spawn(move |_| {
-                    assert_eq!(current_parallelism(), 1);
-                    for i in 0..100u64 {
-                        let (mut a, mut b) = (0, 0);
-                        if join_here(|| a = i, || b = 2 * i) {
-                            stole.fetch_add(1, Ordering::Relaxed);
-                        }
-                        sum.fetch_add(a + b, Ordering::Relaxed);
-                    }
-                });
-            },
-        );
-        assert_eq!(stole.load(Ordering::SeqCst), 0, "cap-1 scope published a stub");
-        assert_eq!(sum.load(Ordering::SeqCst), (0..100).map(|i| 3 * i).sum::<u64>());
-        assert_eq!(stats.total_tasks(), 2);
-    }
-
-    #[test]
-    fn join_computes_recursive_sums_with_idle_workers() {
-        // One seed task, a 4-worker scope: recursive binary splits must
-        // produce the exact sum while idle workers take published halves.
-        fn sum_range(lo: u64, hi: u64) -> u64 {
-            if hi - lo <= 64 {
-                return (lo..hi).sum();
-            }
-            let mid = lo + (hi - lo) / 2;
-            let (mut left, mut right) = (0, 0);
-            join_here(|| left = sum_range(lo, mid), || right = sum_range(mid, hi));
-            left + right
-        }
-        let pool = Pool::new(4);
-        let total = Arc::new(AtomicU64::new(0));
-        pool.scope(ScopeConfig::default(), |s: &Scope<'_>| {
-            let total = Arc::clone(&total);
-            s.spawn(move |_| {
-                assert!(current_parallelism() > 1);
-                total.store(sum_range(0, 1 << 16), Ordering::SeqCst);
-            });
-        });
-        let n = 1u64 << 16;
-        assert_eq!(total.load(Ordering::SeqCst), n * (n - 1) / 2);
-    }
-
-    #[test]
-    fn join_under_saturated_pool_never_deadlocks() {
-        // More joining tasks than workers: every published half that no
-        // thief takes is retracted and run by its own submitter, so a
-        // fully busy pool serializes instead of deadlocking.
-        let pool = Pool::new(2);
-        let done = Arc::new(AtomicU64::new(0));
-        let (stats, _) = pool.scope(ScopeConfig::default(), |s: &Scope<'_>| {
-            for _ in 0..32 {
-                let done = Arc::clone(&done);
-                s.spawn(move |_| {
-                    let (mut a, mut b) = (0u64, 0u64);
-                    join_here(
-                        || {
-                            std::thread::sleep(Duration::from_micros(200));
-                            a = 1;
-                        },
-                        || b = 1,
-                    );
-                    assert_eq!(a + b, 2);
-                    done.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(done.load(Ordering::SeqCst), 32);
-        assert_eq!(stats.total_tasks(), 33);
-    }
-
-    #[test]
-    fn join_propagates_panics_from_either_half() {
-        let pool = Pool::new(2);
-        for left in [true, false] {
-            let err = pool
-                .try_scope(ScopeConfig::default(), move |s: &Scope<'_>| {
-                    s.spawn(move |_| {
-                        join_here(
-                            move || {
-                                if left {
-                                    panic!("left-half boom")
-                                }
-                            },
-                            move || {
-                                if !left {
-                                    panic!("right-half boom")
-                                }
-                            },
-                        );
-                    });
-                })
-                .expect_err("join panic must poison the scope");
-            match err.kind {
-                AbortKind::Panicked { message, .. } => {
-                    assert!(message.contains("boom"), "{message}");
-                }
-                other => panic!("expected Panicked, got {other:?}"),
-            }
-        }
-        // The pool survives poisoned joins.
-        let count = AtomicU64::new(0);
-        pool.scope(ScopeConfig::default(), |s| {
-            s.spawn(|_| {
-                count.fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn scope_join_method_matches_join_here() {
-        let pool = Pool::new(3);
-        let sum = Arc::new(AtomicU64::new(0));
-        pool.scope(ScopeConfig::default(), |s: &Scope<'_>| {
-            let sum = Arc::clone(&sum);
-            s.spawn(move |scope| {
-                let (mut a, mut b) = (0u64, 0u64);
-                scope.join(|| a = 20, || b = 22);
-                sum.store(a + b, Ordering::SeqCst);
-            });
-        });
-        assert_eq!(sum.load(Ordering::SeqCst), 42);
-    }
-
-    #[test]
-    fn wrapper_follows_stolen_join_halves() {
-        // The session-context wrapper must wrap join halves executed by
-        // thieves, exactly as it wraps whole tasks — otherwise a stolen
-        // multiply would record into the wrong solve's sink.
-        let wrapped = Arc::new(AtomicU64::new(0));
-        let w = Arc::clone(&wrapped);
-        let wrapper: TaskWrapper = Arc::new(move |task| {
-            w.fetch_add(1, Ordering::Relaxed);
-            task();
-        });
-        let pool = Pool::new(4);
-        let stolen = Arc::new(AtomicU64::new(0));
-        let (stats, _) = pool.scope(
-            ScopeConfig { wrapper: Some(wrapper), ..ScopeConfig::default() },
-            |s: &Scope<'_>| {
-                let stolen = Arc::clone(&stolen);
-                s.spawn(move |_| {
-                    for _ in 0..64 {
-                        if join_here(
-                            || std::thread::sleep(Duration::from_micros(100)),
-                            || std::thread::sleep(Duration::from_micros(100)),
-                        ) {
-                            stolen.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            },
-        );
-        // Every stolen half adds one wrapper invocation on top of the
-        // per-task ones (seed + spawned task).
-        assert_eq!(
-            wrapped.load(Ordering::SeqCst),
-            stats.total_tasks() + stolen.load(Ordering::SeqCst)
-        );
     }
 
     #[test]

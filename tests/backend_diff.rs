@@ -1,118 +1,61 @@
-//! End-to-end differential test of the multiplication backends, plus
-//! metrics exactness around parallel solves.
+//! End-to-end differential test of the multiplication kernels.
 //!
-//! Solves run under the session API, so every solve owns its metrics:
-//! `stats.cost` *is* the exact per-phase event count of that solve, with
-//! no process-global snapshot subtraction — which also means these
-//! assertions stay exact while other tests run concurrently.
+//! `Kernels::Fast` runs Karatsuba limb products and Kronecker-packed
+//! polynomial products where their size gates say they pay;
+//! `Kernels::Paper` runs schoolbook everywhere. The cost model records
+//! model events and operand bit lengths above both, so the two must
+//! agree event for event. This suite drives the multiplication-heavy
+//! corner — high precision and multi-limb coefficients — and the
+//! metrics exactness of parallel solves; `kernels_diff.rs` covers the
+//! paper's workload at µ = 53 and the division counters.
 
-use polyroots::core::{MulBackend, PolyMulBackend, RootsResult, Session, SolveStats};
+use polyroots::core::{Kernels, RootsResult, Session};
 use polyroots::workload::charpoly_input;
-use polyroots::SolverConfig;
+use polyroots::{Int, Poly, SolverConfig};
 
-fn solve(cfg: SolverConfig, p: &polyroots::Poly) -> RootsResult {
+fn solve(cfg: SolverConfig, p: &Poly) -> RootsResult {
     Session::new(cfg).solve(p).unwrap()
 }
 
-/// The solve recorded events, and only into its own sink: the process
-/// default sink must not have seen the solve phases.
-fn assert_cost_alive(stats: &SolveStats) {
-    assert!(stats.cost.total().mul_count > 0, "instrumentation alive");
+fn assert_same_mathematics(a: &RootsResult, b: &RootsResult, cell: &str) {
+    assert_eq!(a.roots, b.roots, "roots {cell}");
+    assert_eq!(a.n_star, b.n_star, "n_star {cell}");
+    assert_eq!(a.n, b.n, "n {cell}");
+    assert_eq!(a.stats.cost, b.stats.cost, "stats.cost {cell}");
+    assert!(a.stats.cost.total().mul_count > 0, "instrumentation alive {cell}");
 }
-
-/// The full backend grid: `{limb kernel} × {polynomial kernel}`. Every
-/// cell must produce the same roots and the same recorded cost model;
-/// only wall-clock may differ.
-const GRID: [(MulBackend, PolyMulBackend); 4] = [
-    (MulBackend::Schoolbook, PolyMulBackend::Schoolbook),
-    (MulBackend::Schoolbook, PolyMulBackend::Kronecker),
-    (MulBackend::Fast, PolyMulBackend::Schoolbook),
-    (MulBackend::Fast, PolyMulBackend::Kronecker),
-];
 
 #[test]
 fn backends_differ_only_in_wall_clock() {
-    let mu = 53;
-    for (n, seed) in [(12usize, 0u64), (18, 1), (24, 0)] {
-        let p = charpoly_input(n, seed);
-
-        let school = solve(
-            SolverConfig::sequential(mu)
-                .with_backend(MulBackend::Schoolbook)
-                .with_poly_mul(PolyMulBackend::Schoolbook),
-            &p,
-        );
-        for (limb, poly_mul) in GRID.iter().skip(1) {
-            let other = solve(
-                SolverConfig::sequential(mu)
-                    .with_backend(*limb)
-                    .with_poly_mul(*poly_mul),
-                &p,
-            );
-
-            // Identical mathematics: same roots, same degree bookkeeping.
-            let cell = format!("n={n} seed={seed} {limb:?}/{poly_mul:?}");
-            assert_eq!(school.roots, other.roots, "roots {cell}");
-            assert_eq!(school.n_star, other.n_star, "n_star {cell}");
-            assert_eq!(school.n, other.n);
-
-            // Identical cost model: the metrics record model events and
-            // operand bit lengths *above* both the limb kernel and the
-            // polynomial kernel (the Kronecker path replays the
-            // schoolbook charge), so every phase's counts and bit costs
-            // must match event-for-event across the whole grid.
-            assert_eq!(school.stats.cost, other.stats.cost, "stats.cost {cell}");
-        }
-        assert_cost_alive(&school.stats);
+    // High precision lengthens every tree-stage and refinement operand;
+    // roots at ±10^9 make every coefficient multi-limb from the start.
+    let big = 1_000_000_000i64;
+    let wide = Poly::from_roots(&[-big, -7, 0, 3, big].map(Int::from));
+    let cases = [
+        ("charpoly n=12 µ=256", charpoly_input(12, 0), 256u64),
+        ("charpoly n=18 µ=512", charpoly_input(18, 1), 512),
+        ("roots ±1e9 µ=200", wide, 200),
+    ];
+    for (cell, p, mu) in &cases {
+        let paper = solve(SolverConfig::sequential(*mu).with_kernels(Kernels::Paper), p);
+        let fast = solve(SolverConfig::sequential(*mu), p);
+        assert_same_mathematics(&paper, &fast, cell);
     }
 
     // Metrics exactness around a parallel solve: per-solve cost must be
     // deterministic (no events lost or double-counted across worker
-    // threads), and backend-invariant.
+    // threads) and kernel-invariant.
+    let mu = 53;
     let p = charpoly_input(20, 0);
-    let par_cfg = SolverConfig::parallel(mu, 4);
-    let par1 = solve(par_cfg, &p);
-    assert_cost_alive(&par1.stats);
-    let par2 = solve(par_cfg, &p);
-    assert_eq!(
-        par1.stats.cost, par2.stats.cost,
-        "parallel solve cost is deterministic"
-    );
-    assert_eq!(par1.roots, par2.roots);
+    let cfg = SolverConfig::parallel(mu, 4);
+    let par1 = solve(cfg, &p);
+    let par2 = solve(cfg, &p);
+    assert_same_mathematics(&par1, &par2, "repeated parallel solve");
+    let par_paper = solve(cfg.with_kernels(Kernels::Paper), &p);
+    assert_same_mathematics(&par_paper, &par1, "parallel Paper vs Fast");
 
-    // And the parallel backend differential: same roots and same
-    // per-solve cost under Fast.
-    let par_fast = solve(par_cfg.with_backend(MulBackend::Fast), &p);
-    assert_eq!(par1.roots, par_fast.roots);
-    assert_eq!(par1.n_star, par_fast.n_star);
-    assert_eq!(
-        par1.stats.cost, par_fast.stats.cost,
-        "parallel metrics backend-invariant"
-    );
-
-    // Scheduling never changes the mathematics: the sequential
-    // reference produces the same roots.
+    // Scheduling never changes the mathematics.
     let seq = solve(SolverConfig::sequential(mu), &p);
     assert_eq!(seq.roots, par1.roots);
     assert_eq!(seq.n_star, par1.n_star);
-}
-
-/// Solves never leak events into the process-global default sink — the
-/// whole point of session-scoped metrics.
-#[test]
-fn solves_do_not_pollute_global_metrics() {
-    use polyroots::mp::metrics::{self, Phase};
-    let before = metrics::snapshot();
-    let p = charpoly_input(14, 3);
-    let _ = solve(SolverConfig::parallel(24, 3), &p);
-    let d = metrics::snapshot() - before;
-    for phase in [
-        Phase::RemainderSeq,
-        Phase::TreePoly,
-        Phase::Sieve,
-        Phase::Bisection,
-        Phase::Newton,
-    ] {
-        assert_eq!(d.phase(phase).mul_count, 0, "{phase:?} leaked to global sink");
-    }
 }

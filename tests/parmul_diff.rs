@@ -1,130 +1,30 @@
-//! End-to-end differential test of fork-join parallel multiplication.
+//! Determinism of parallel solves on the fast kernel stack.
 //!
-//! `RR_PAR_MUL` (here selected per-solve via `SolverConfig::with_par_mul`)
-//! splits large big-integer products into subtasks on the solve's own
-//! pool scope. It is a pure execution optimization: roots, `n_star`,
-//! and the recorded paper cost model must be bit-identical across
-//! `off`/`on`/`auto` and across every backend-grid cell — only
-//! wall-clock and the execution counters (`SolveStats::parmul`) may
-//! differ. (The mp-layer twin, `crates/mp/tests/parmul_diff.rs`, drives
-//! the kernels directly under real pool scopes; this file asserts the
-//! same invariants through whole solves.)
+//! Under a multi-worker pool, work stealing decides which worker runs
+//! which task, and so which thread's arena and which `ExactDivisor`
+//! cache serves each product and division. None of that may reach the
+//! result: the combine order is fixed by the task tree, so two identical
+//! solves must agree limb for limb. (The file keeps the name of the
+//! fork-join multiplication suite that held this check before that
+//! splitter was removed.)
 
-use polyroots::core::{DivBackend, ExecMode, MulBackend, PolyMulBackend, RootsResult, Session};
-use polyroots::mp::ParMulMode;
+use polyroots::core::{RootsResult, Session};
 use polyroots::workload::charpoly_input;
-use polyroots::SolverConfig;
+use polyroots::{Poly, SolverConfig};
 
-fn solve(cfg: SolverConfig, p: &polyroots::Poly) -> RootsResult {
+fn solve(cfg: SolverConfig, p: &Poly) -> RootsResult {
     Session::new(cfg).solve(p).unwrap()
 }
 
-/// The full backend cube × execution mode × `ParMulMode`: every cell
-/// must agree with the par-mul-off reference on roots, degree
-/// bookkeeping, and the recorded cost model. The splitter replays the
-/// same kernels on more workers; it never changes which products the
-/// model charges.
-#[test]
-fn par_mul_modes_are_bit_identical_across_backend_grid() {
-    let mu = 53;
-    for (n, threads) in [(24usize, 1usize), (30, 4)] {
-        let p = charpoly_input(n, 0);
-        for limb in [MulBackend::Schoolbook, MulBackend::Fast] {
-            for poly_mul in [PolyMulBackend::Schoolbook, PolyMulBackend::Kronecker] {
-                for div in [DivBackend::Schoolbook, DivBackend::Newton] {
-                    let cfg = SolverConfig::parallel(mu, threads)
-                        .with_backend(limb)
-                        .with_poly_mul(poly_mul)
-                        .with_div(div);
-                    let reference = solve(cfg.with_par_mul(ParMulMode::Off), &p);
-                    for mode in [ParMulMode::On, ParMulMode::Auto] {
-                        let other = solve(cfg.with_par_mul(mode), &p);
-                        let cell =
-                            format!("n={n} thr={threads} {limb:?}/{poly_mul:?}/{div:?} {mode:?}");
-                        assert_eq!(reference.roots, other.roots, "roots {cell}");
-                        assert_eq!(reference.n_star, other.n_star, "n_star {cell}");
-                        assert_eq!(reference.stats.cost, other.stats.cost, "stats.cost {cell}");
-                        if matches!(limb, MulBackend::Schoolbook) {
-                            assert_eq!(
-                                other.stats.parmul.products, 0,
-                                "schoolbook never splits: {cell}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A degree large enough that the splitter demonstrably engages inside
-/// a parallel solve on the fast stack: identical mathematics, nonzero
-/// execution counters on the `On` side, all-zero counters on `Off`.
-#[test]
-fn engaged_parallel_solve_stays_exact() {
-    let p = charpoly_input(48, 0);
-    let cfg = SolverConfig::parallel(53, 4)
-        .with_backend(MulBackend::Fast)
-        .with_poly_mul(PolyMulBackend::Kronecker)
-        .with_div(DivBackend::Newton);
-    let off = solve(cfg.with_par_mul(ParMulMode::Off), &p);
-    let on = solve(cfg.with_par_mul(ParMulMode::On), &p);
-
-    assert_eq!(off.roots, on.roots);
-    assert_eq!(off.n_star, on.n_star);
-    assert_eq!(off.stats.cost, on.stats.cost, "cost model is replayed, not bypassed");
-
-    assert_eq!(off.stats.parmul, Default::default(), "off-side counters stay zero");
-    let s = &on.stats.parmul;
-    assert!(s.products > 0, "n=48 fast/kronecker/newton engages the splitter: {s:?}");
-    assert!(s.tasks >= s.products, "every split product forks at least once: {s:?}");
-    assert!(s.work_ns >= s.span_ns, "work dominates the critical path: {s:?}");
-    // No steal assertion: whether another worker claims a subtask
-    // depends on host scheduling (single-core CI rarely steals).
-}
-
-/// Single-worker degradation: a dynamic pool capped at one worker must
-/// inline every fork (zero steals) and still solve exactly — the
-/// fork-join layer degrades to plain recursion, not to a deadlock or a
-/// queue of orphaned subtasks.
-#[test]
-fn single_worker_pool_inlines_all_splits() {
-    let p = charpoly_input(48, 0);
-    let mut cfg = SolverConfig::parallel(53, 2)
-        .with_backend(MulBackend::Fast)
-        .with_poly_mul(PolyMulBackend::Kronecker)
-        .with_div(DivBackend::Newton);
-    // A true one-worker pool (not `ExecMode::Sequential`, which
-    // `parallel(mu, 1)` would normalize to — phase attribution differs
-    // between the sequential and pooled remainder stages, so the
-    // reference must run the same mode).
-    cfg.mode = ExecMode::Dynamic { threads: 1 };
-    let one = solve(cfg.with_par_mul(ParMulMode::On), &p);
-    let reference = solve(cfg.with_par_mul(ParMulMode::Off), &p);
-    assert_eq!(one.roots, reference.roots);
-    assert_eq!(one.n_star, reference.n_star);
-    assert_eq!(one.stats.cost, reference.stats.cost);
-
-    let s = &one.stats.parmul;
-    assert!(s.products > 0, "forced `On` still engages on one worker: {s:?}");
-    assert_eq!(s.steals, 0, "one worker has nobody to steal from: {s:?}");
-}
-
-/// Two identical engaged solves agree exactly: work stealing may
-/// schedule subtasks differently run to run, but the combine order is
-/// fixed by the fork-join tree, so the limbs — and everything computed
-/// from them — are deterministic.
 #[test]
 fn repeated_engaged_solves_are_deterministic() {
     let p = charpoly_input(30, 1);
-    let cfg = SolverConfig::parallel(53, 4)
-        .with_backend(MulBackend::Fast)
-        .with_poly_mul(PolyMulBackend::Kronecker)
-        .with_div(DivBackend::Newton)
-        .with_par_mul(ParMulMode::On);
+    let cfg = SolverConfig::parallel(53, 4);
     let a = solve(cfg, &p);
     let b = solve(cfg, &p);
     assert_eq!(a.roots, b.roots);
     assert_eq!(a.n_star, b.n_star);
     assert_eq!(a.stats.cost, b.stats.cost);
+    assert_eq!(a.stats.newton_div, b.stats.newton_div);
+    assert!(a.stats.newton_div.exact_divs > 0, "fast division engaged: {:?}", a.stats.newton_div);
 }
