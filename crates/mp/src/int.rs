@@ -89,6 +89,20 @@ impl Int {
         }
     }
 
+    /// Zero whose magnitude storage is `buf` (cleared, capacity kept).
+    /// With [`Int::into_storage`] this lets an accumulator run in a
+    /// scratch-arena buffer and hand it back afterwards.
+    pub fn zero_with_storage(mut buf: Vec<Limb>) -> Int {
+        buf.clear();
+        Int { sign: Sign::Zero, mag: buf }
+    }
+
+    /// Gives up the magnitude storage (for example, back to
+    /// [`crate::scratch::put`]).
+    pub fn into_storage(self) -> Vec<Limb> {
+        self.mag
+    }
+
     /// The sign.
     #[inline]
     pub fn sign(&self) -> Sign {
@@ -227,6 +241,42 @@ impl Int {
             }
         }
         crate::scratch::put(pmag);
+    }
+
+    /// Fused Horner step `self = self·y + c`, recorded exactly like
+    /// `&self * y` (one multiplication at `‖self‖·‖y‖` bit cost, charged
+    /// before any kernel runs) but computed in the accumulator's own
+    /// storage. A one-limb `y` — the scaled grid points of the interval
+    /// stage — takes one carry pass that multiplies and adds (or
+    /// subtracts) at once; a wider `y` multiplies into a scratch-arena
+    /// buffer, copies the product back and returns the buffer. Both
+    /// [`crate::Kernels`] policies run this same step.
+    pub fn mul_add_assign(&mut self, y: &Int, c: &Int) {
+        metrics::record_mul(self.bit_len(), y.bit_len());
+        let psign = self.sign.mul(y.sign);
+        if psign == Sign::Zero {
+            self.sign = c.sign;
+            self.mag.clear();
+            self.mag.extend_from_slice(&c.mag);
+            return;
+        }
+        self.sign = psign;
+        if let [m] = y.mag[..] {
+            if c.sign == Sign::Zero || c.sign == psign {
+                nat::mul::mul_limb_add_assign(&mut self.mag, m, &c.mag);
+            } else if nat::mul::mul_limb_sub_assign(&mut self.mag, m, &c.mag) {
+                self.sign = c.sign;
+            } else if self.mag.is_empty() {
+                self.sign = Sign::Zero;
+            }
+            return;
+        }
+        let mut prod = crate::scratch::take(self.mag.len() + y.mag.len());
+        nat::mul_auto_into(&self.mag, &y.mag, &mut prod);
+        self.mag.clear();
+        self.mag.extend_from_slice(&prod);
+        crate::scratch::put(prod);
+        self.add_assign_impl(c, false);
     }
 
     /// `self * rhs` written into `out`, recorded exactly like `*` (one

@@ -42,21 +42,18 @@ pub fn mul_into(a: &[Limb], b: &[Limb], out: &mut Vec<Limb>) {
         if x == 0 {
             continue;
         }
+        // Row i accumulates x·inner into out[i..i + inner.len()]; its
+        // final carry is the row's top limb. No earlier row has written
+        // out[i + inner.len()] (row k < i reaches k + inner.len() at
+        // most), so it is still zero and the carry is stored, not added.
+        let (row, rest) = out[i..].split_at_mut(inner.len());
         let mut carry: Limb = 0;
-        for (j, &y) in inner.iter().enumerate() {
-            let (lo, hi) = mac(x, y, out[i + j], carry);
-            out[i + j] = lo;
+        for (o, &y) in row.iter_mut().zip(inner) {
+            let (lo, hi) = mac(x, y, *o, carry);
+            *o = lo;
             carry = hi;
         }
-        // Propagate the final carry; it cannot run off the end because the
-        // full product fits in a.len() + b.len() limbs.
-        let mut k = i + inner.len();
-        while carry != 0 {
-            let (s, c) = out[k].overflowing_add(carry);
-            out[k] = s;
-            carry = c as Limb;
-            k += 1;
-        }
+        rest[0] = carry;
     }
     trim(out);
 }
@@ -77,6 +74,92 @@ pub fn mul_limb(a: &[Limb], m: Limb) -> Vec<Limb> {
         out.push(carry);
     }
     out
+}
+
+/// In-place `a = a·m + c` in one carry pass — the same-sign Horner
+/// step for a one-limb point. `a` is normalized and nonzero, `m`
+/// nonzero; the result stays normalized. `a` grows only when the sum
+/// needs more limbs than its capacity holds.
+pub(crate) fn mul_limb_add_assign(a: &mut Vec<Limb>, m: Limb, c: &[Limb]) {
+    debug_assert!(m != 0 && a.last().is_some_and(|&top| top != 0));
+    let n = a.len().min(c.len());
+    let mut carry: Limb = 0;
+    let (low, high) = a.split_at_mut(n);
+    for (x, &ci) in low.iter_mut().zip(c) {
+        let (lo, hi) = mac(*x, m, ci, carry);
+        *x = lo;
+        carry = hi;
+    }
+    for x in high {
+        let (lo, hi) = mac(*x, m, 0, carry);
+        *x = lo;
+        carry = hi;
+    }
+    // c longer than a: a's product is spent, the rest of c rides the carry.
+    for &ci in &c[n..] {
+        let (s, o) = ci.overflowing_add(carry);
+        a.push(s);
+        carry = o as Limb;
+    }
+    if carry != 0 {
+        a.push(carry);
+    }
+}
+
+/// In-place `a = |a·m − c|` in one borrow pass, returning `true` when
+/// `a·m < c` (the caller flips the sign). `a` is normalized and
+/// nonzero, `m` nonzero; the result is normalized (empty when
+/// `a·m = c`). The pass computes `a·m − c` modulo `2^(64·len)`; a
+/// final borrow means the true difference is negative, and one
+/// two's-complement negation recovers its magnitude.
+pub(crate) fn mul_limb_sub_assign(a: &mut Vec<Limb>, m: Limb, c: &[Limb]) -> bool {
+    debug_assert!(m != 0 && a.last().is_some_and(|&top| top != 0));
+    if a.len() < c.len() {
+        a.resize(c.len(), 0);
+    }
+    let mut carry: Limb = 0;
+    let mut borrow = false;
+    let (low, high) = a.split_at_mut(c.len());
+    for (x, &ci) in low.iter_mut().zip(c) {
+        let (lo, hi) = mac(*x, m, carry, 0);
+        carry = hi;
+        let (d, b1) = lo.overflowing_sub(ci);
+        let (d, b2) = d.overflowing_sub(borrow as Limb);
+        *x = d;
+        borrow = b1 | b2;
+    }
+    for x in high {
+        let (lo, hi) = mac(*x, m, carry, 0);
+        carry = hi;
+        let (d, b) = lo.overflowing_sub(borrow as Limb);
+        *x = d;
+        borrow = b;
+    }
+    // The value is the stored limbs plus (carry − borrow)·2^(64·len);
+    // carry − borrow < 0 only when carry is 0 and a borrow is out.
+    let negative = carry == 0 && borrow;
+    if negative {
+        negate_twos_complement(a);
+    } else if carry - borrow as Limb != 0 {
+        a.push(carry - borrow as Limb);
+    }
+    trim(a);
+    negative
+}
+
+/// `a = 2^(64·len) − a` over `a`'s limbs: every limb is complemented
+/// and one is added, which ripples through the low zero limbs only.
+fn negate_twos_complement(a: &mut [Limb]) {
+    let mut limbs = a.iter_mut();
+    for x in limbs.by_ref() {
+        if *x != 0 {
+            *x = x.wrapping_neg();
+            break;
+        }
+    }
+    for x in limbs {
+        *x = !*x;
+    }
 }
 
 /// Square of a magnitude (schoolbook; same cost model as [`mul`]).

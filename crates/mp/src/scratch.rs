@@ -154,6 +154,12 @@ pub fn release_thread() {
     SCRATCH.with(|s| s.borrow_mut().release());
 }
 
+/// Buffers taken from the calling thread's arena and not yet returned
+/// (test and diagnostics hook): a balanced scope leaves it unchanged.
+pub fn outstanding_on_thread() -> usize {
+    SCRATCH.with(|s| s.borrow().outstanding())
+}
+
 /// Buffers currently retained by the calling thread's arena (test and
 /// diagnostics hook).
 pub fn retained_on_thread() -> usize {

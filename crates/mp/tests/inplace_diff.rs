@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use rr_mp::nat::{self, div, kmul, mul, newton_div};
-use rr_mp::{scratch, Int};
+use rr_mp::{scratch, Int, Kernels, Sign, SolveCtx};
 
 type Mag = Vec<u64>;
 
@@ -35,6 +35,21 @@ fn with_poisoned_arena<T>(f: impl FnOnce() -> T) -> T {
         scratch::put(b);
     }
     f()
+}
+
+/// A signed integer of up to `max_limbs` limbs (zero included), with
+/// magnitudes from [`arb_mag`] or all-ones runs.
+fn arb_int(max_limbs: usize) -> impl Strategy<Value = Int> {
+    (-1i32..=1, arb_mag(max_limbs), 0..=max_limbs, any::<bool>()).prop_map(
+        |(sign, mag, ones, all_ones)| {
+            let mag = if all_ones { vec![u64::MAX; ones] } else { mag };
+            match sign {
+                -1 => Int::from_sign_mag(Sign::Negative, mag),
+                1 => Int::from_sign_mag(Sign::Positive, mag),
+                _ => Int::zero(),
+            }
+        },
+    )
 }
 
 /// A dirty output buffer: nonzero length, poisoned contents.
@@ -213,6 +228,41 @@ proptest! {
     }
 
     #[test]
+    fn int_horner_step_matches_composed(
+        acc in arb_int(6),
+        y in arb_int(3),
+        c in arb_int(9),
+    ) {
+        // `acc·y + c` over every sign of each operand (zero included),
+        // one- to three-limb points, `c` longer and shorter than `acc`,
+        // under both kernel policies.
+        let expect = &(&acc * &y) + &c;
+        for kernels in [Kernels::Paper, Kernels::Fast] {
+            let ctx = SolveCtx::new(kernels);
+            let mut got = acc.clone();
+            ctx.run(|| with_poisoned_arena(|| got.mul_add_assign(&y, &c)));
+            prop_assert_eq!(&got, &expect);
+            // Charged exactly like `&acc * &y`: one multiplication.
+            let cost = ctx.snapshot().total();
+            prop_assert_eq!(cost.mul_count, 1);
+            prop_assert_eq!(cost.mul_bits, acc.bit_len() * y.bit_len());
+        }
+    }
+
+    #[test]
+    fn int_horner_step_cancels_exactly(acc in arb_int(4), y in arb_int(2)) {
+        // c = −acc·y: the fused multiply-subtract must land on zero, and
+        // c = −acc·y ± 1 one step either side of it.
+        let prod = &acc * &y;
+        for delta in [-1i64, 0, 1] {
+            let c = &Int::from(delta) - &prod;
+            let mut got = acc.clone();
+            with_poisoned_arena(|| got.mul_add_assign(&y, &c));
+            prop_assert_eq!(got, Int::from(delta));
+        }
+    }
+
+    #[test]
     fn trim_and_normalized_never_reallocate(mut v in arb_mag(24), zeros in 0usize..8) {
         v.extend(std::iter::repeat_n(0u64, zeros));
         let cap = v.capacity();
@@ -250,21 +300,31 @@ fn cross_kernel_buffer_reuse_is_clean() {
     }
 }
 
-/// Balanced take/put accounting: the hot kernels return every scratch
-/// buffer they take, so the arena's outstanding count returns to zero.
+/// Balanced take/put accounting: the hot kernels — Karatsuba, Newton
+/// division and the fused Horner step at a multi-limb point — return
+/// every scratch buffer they take, so the arena's outstanding count
+/// returns to where it was.
 #[test]
 fn kernels_return_all_scratch_buffers() {
     let a: Mag = vec![u64::MAX; 40];
     let b: Mag = vec![0x0123_4567_89AB_CDEF; 33];
+    let outstanding = scratch::outstanding_on_thread();
     let mut out = Vec::new();
     kmul::mul_with_threshold_into(&a, &b, 4, &mut out);
     let _ = newton_div::div_rem_with_threshold(&out, &b, 1);
+    let mut acc = Int::from_sign_mag(Sign::Negative, a.clone());
+    let c = Int::from_sign_mag(Sign::Positive, b.clone());
+    acc.mul_add_assign(&Int::from(-7), &c);
+    acc.mul_add_assign(&Int::from_sign_mag(Sign::Positive, vec![3, 5, 1]), &c);
+    assert_eq!(scratch::outstanding_on_thread(), outstanding);
     let retained_before = scratch::retained_on_thread();
     let mut out2 = Vec::new();
     kmul::mul_with_threshold_into(&a, &b, 4, &mut out2);
+    acc.mul_add_assign(&Int::from_sign_mag(Sign::Positive, vec![9, 9]), &Int::one());
     // Steady state: reuse without growth.
     assert!(scratch::retained_on_thread() >= 1);
     assert!(scratch::retained_on_thread() <= retained_before.max(1) + 2);
+    assert_eq!(scratch::outstanding_on_thread(), outstanding);
     // Releasing the thread arena empties the free list.
     scratch::release_thread();
     assert_eq!(scratch::retained_on_thread(), 0);

@@ -1,13 +1,15 @@
 //! Differential tests of the two multiplication kernels.
 //!
-//! The `Fast` (Karatsuba) kernel must agree **bit-for-bit** with the
-//! paper-faithful schoolbook kernel on every input. The properties here
-//! drive both kernels over tens of thousands of generated magnitudes
-//! spanning the shapes where split-and-recombine arithmetic breaks:
-//! limb-boundary lengths, heavily unbalanced operands, zero/one, and
-//! near-overflow (all-ones) limbs that maximize internal carries. Deep
-//! recursion is forced by calling `mul_with_threshold` with tiny
-//! thresholds, so even small operands exercise several Karatsuba levels.
+//! The `Fast` (Karatsuba) kernel and the paper-faithful schoolbook
+//! kernel must both agree **bit-for-bit** with a test-local reference
+//! product (column sums in `u128`, sharing no code with either kernel)
+//! on every input. The properties here drive the kernels over tens of
+//! thousands of generated magnitudes spanning the shapes where
+//! split-and-recombine arithmetic breaks: limb-boundary lengths,
+//! heavily unbalanced operands, zero/one, and near-overflow (all-ones)
+//! limbs that maximize internal carries. Deep recursion is forced by
+//! calling `mul_with_threshold` with tiny thresholds, so even small
+//! operands exercise several Karatsuba levels.
 //!
 //! This file also carries the edge-case property coverage for
 //! `nat::mul_limb`, `nat::mul::square`, and `nat::mul_normalizing`.
@@ -63,8 +65,45 @@ fn arb_mag(max_limbs: usize) -> impl Strategy<Value = Mag> {
         })
 }
 
+/// Test-local reference product, independent of every kernel under
+/// test (`mul::mul` included): column `k` sums all `a[i]·b[k−i]` in a
+/// `u128` with an overflow count, emits the low limb and carries the
+/// rest into column `k + 1`. Accepts denormalized inputs and returns a
+/// normalized product, like the kernels.
 fn schoolbook(a: &[u64], b: &[u64]) -> Mag {
-    mul::mul(a, b)
+    if a.is_empty() || b.is_empty() {
+        return Mag::new();
+    }
+    let mut out = Mag::with_capacity(a.len() + b.len());
+    let mut carry: u128 = 0;
+    for k in 0..a.len() + b.len() - 1 {
+        let (mut sum, mut overflows) = (carry, 0u128);
+        for i in k.saturating_sub(b.len() - 1)..=k.min(a.len() - 1) {
+            let (s, o) = sum.overflowing_add(a[i] as u128 * b[k - i] as u128);
+            sum = s;
+            overflows += o as u128;
+        }
+        out.push(sum as u64);
+        carry = (sum >> 64) | (overflows << 64);
+    }
+    out.push(carry as u64);
+    debug_assert_eq!(carry >> 64, 0, "the product fits a.len() + b.len() limbs");
+    while out.last() == Some(&0) {
+        out.pop();
+    }
+    out
+}
+
+/// An outer (row) operand for the schoolbook loop: limbs drawn from
+/// zero (a skipped row), all-ones (a row whose final carry is maximal
+/// and lands on the directly stored top limb) and random values.
+fn row_mag(max_limbs: usize) -> impl Strategy<Value = Mag> {
+    let limb = (0..3u8, any::<u64>()).prop_map(|(kind, r)| match kind {
+        0 => 0,
+        1 => u64::MAX,
+        _ => r,
+    });
+    prop::collection::vec(limb, 0..=max_limbs)
 }
 
 proptest! {
@@ -125,6 +164,41 @@ proptest! {
         let b = vec![u64::MAX; len_b];
         prop_assert_eq!(kmul::mul_with_threshold(&a, &b, 2), schoolbook(&a, &b));
     }
+}
+
+// The schoolbook loop itself against the reference: rows with zero
+// limbs, all-ones rows, and both operand orders (the loop runs its rows
+// over the shorter operand).
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn schoolbook_rows_match_reference(rows in row_mag(12), inner in arb_mag(40)) {
+        let expect = schoolbook(&rows, &inner);
+        prop_assert_eq!(mul::mul(&rows, &inner), expect.clone());
+        prop_assert_eq!(mul::mul(&inner, &rows), expect);
+    }
+}
+
+#[test]
+fn schoolbook_all_ones_and_zero_rows() {
+    for la in 1..=20 {
+        for lb in 1..=20 {
+            let a = vec![u64::MAX; la];
+            let b = vec![u64::MAX; lb];
+            assert_eq!(mul::mul(&a, &b), schoolbook(&a, &b), "ones {la}x{lb}");
+        }
+    }
+    // Zero rows between all-ones rows: a skipped row leaves its top limb
+    // zero for the next row to accumulate into.
+    let rows = [u64::MAX, 0, 0, u64::MAX, 0, u64::MAX, u64::MAX, 0, 1];
+    let inner = vec![u64::MAX; 13];
+    assert_eq!(mul::mul(&rows, &inner), schoolbook(&rows, &inner));
+    assert_eq!(mul::mul(&inner, &rows), schoolbook(&rows, &inner));
+    // The reference itself, on values u128 can check.
+    assert_eq!(schoolbook(&[u64::MAX], &[u64::MAX]), vec![1, u64::MAX - 1]);
+    assert_eq!(schoolbook(&[3, 0], &[5]), vec![15]);
+    assert_eq!(schoolbook(&[0, 0], &[5]), Mag::new());
 }
 
 // Satellite coverage: mul_limb / square / mul_normalizing edge cases.
@@ -196,7 +270,7 @@ proptest! {
 fn mul_normalizing_matches_schoolbook_under_both_policies() {
     let a: Mag = (0..50u64).map(|i| u64::MAX - i * i).chain([0, 0]).collect();
     let b: Mag = (0..49u64).map(|i| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i | 1)).collect();
-    let expect = mul::mul(&nat::normalized(a.clone()), &nat::normalized(b.clone()));
+    let expect = schoolbook(&a, &b);
 
     let fast = mul::mul_normalizing(a.clone(), b.clone());
     assert_eq!(fast, expect);

@@ -14,15 +14,24 @@ use rr_mp::Int;
 /// Evaluates `p` at the integer `x` by Horner's rule (`deg p`
 /// multiplications).
 pub fn eval(p: &Poly, x: &Int) -> Int {
-    let mut it = p.coeffs().iter().rev();
-    let Some(first) = it.next() else {
-        return Int::zero();
-    };
-    let mut acc = first.clone();
-    for c in it {
-        acc = acc * x + c;
+    let mut acc = Int::zero();
+    if !p.is_zero() {
+        horner(p.coeffs(), x, &mut acc);
     }
     acc
+}
+
+/// Horner's rule over the little-endian `coeffs` (nonempty) at `y`,
+/// accumulated in `acc` (zero on entry): the leading coefficient is
+/// copied in, then each lower one costs one fused, metered
+/// [`Int::mul_add_assign`] — the single evaluation step of every sign
+/// test and Newton step, under both kernel policies.
+fn horner(coeffs: &[Int], y: &Int, acc: &mut Int) {
+    let (lead, rest) = coeffs.split_last().expect("Horner needs a coefficient");
+    *acc += lead;
+    for c in rest.iter().rev() {
+        acc.mul_add_assign(y, c);
+    }
 }
 
 /// Sign of `p(x)` at the integer `x`.
@@ -45,6 +54,8 @@ pub struct ScaledPoly {
     mu: u64,
     /// Degree of the underlying polynomial.
     degree: usize,
+    /// Largest pre-scaled coefficient bit length (sizes accumulators).
+    max_bits: u64,
 }
 
 impl ScaledPoly {
@@ -65,8 +76,9 @@ impl ScaledPoly {
             .iter()
             .enumerate()
             .map(|(j, c)| c << ((d - j) as u64 * mu))
-            .collect();
-        ScaledPoly { coeffs, mu, degree: d }
+            .collect::<Vec<Int>>();
+        let max_bits = coeffs.iter().map(Int::bit_len).max().unwrap_or(0);
+        ScaledPoly { coeffs, mu, degree: d, max_bits }
     }
 
     /// The grid precision `µ`.
@@ -82,17 +94,33 @@ impl ScaledPoly {
     /// Evaluates at the scaled point `y`, i.e. returns
     /// `2^{dµ} · p(y/2^µ)` — an exact integer.
     pub fn eval(&self, y: &Int) -> Int {
-        let mut it = self.coeffs.iter().rev();
-        let mut acc = it.next().expect("ScaledPoly is never zero").clone();
-        for c in it {
-            acc = acc * y + c;
-        }
-        acc
+        self.with_value(y, Int::clone)
     }
 
-    /// Sign of `p(y/2^µ)`.
+    /// Sign of `p(y/2^µ)`. On a warm thread a sign test touches no
+    /// allocator.
     pub fn sign_at(&self, y: &Int) -> i32 {
-        self.eval(y).signum()
+        self.with_value(y, Int::signum)
+    }
+
+    /// Runs Horner's rule at `y` in an accumulator borrowed from the
+    /// scratch arena, hands the value to `f` and returns the buffer to
+    /// the arena, so no arena buffer escapes; [`ScaledPoly::eval`]'s
+    /// clone is the only allocation, sized to the value.
+    fn with_value<R>(&self, y: &Int, f: impl FnOnce(&Int) -> R) -> R {
+        let mut acc = Int::zero_with_storage(rr_mp::scratch::take(self.acc_limbs(y)));
+        horner(&self.coeffs, y, &mut acc);
+        let out = f(&acc);
+        rr_mp::scratch::put(acc.into_storage());
+        out
+    }
+
+    /// Limbs enough for every Horner partial sum at `y`: after `k`
+    /// steps `|acc| ≤ (k+1)·max|c_j|·max(1,|y|)^k`, at most
+    /// `max_bits + d·‖y‖ + log2(d+1)` bits; the last term (< 64 bits)
+    /// and the rounding up each cost at most one limb.
+    fn acc_limbs(&self, y: &Int) -> usize {
+        ((self.max_bits + self.degree as u64 * y.bit_len()) / 64 + 2) as usize
     }
 }
 

@@ -7,7 +7,7 @@
 //! comparison Figure 8 of the paper draws.
 
 use crate::division::pseudo_div_rem;
-use crate::eval::eval;
+use crate::eval::{eval, ScaledPoly};
 use crate::Poly;
 use rr_mp::Int;
 
@@ -72,14 +72,7 @@ impl SturmChain {
                 0
             } else {
                 // sign of 2^{dµ}·s(y/2^µ) equals sign of s(y/2^µ)
-                let d = s.deg();
-                let mut it = s.coeffs().iter().enumerate().rev();
-                let (_, first) = it.next().expect("nonzero");
-                let mut acc = first.clone();
-                for (j, c) in it {
-                    acc = acc * y + (c << ((d - j) as u64 * mu));
-                }
-                acc.signum()
+                ScaledPoly::new(s, mu).sign_at(y)
             }
         }))
     }

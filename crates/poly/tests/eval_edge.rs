@@ -3,7 +3,7 @@
 //! at sizes the unit tests don't reach.
 
 use proptest::prelude::*;
-use rr_mp::Int;
+use rr_mp::{scratch, Int};
 use rr_poly::eval::{eval, ScaledPoly};
 use rr_poly::Poly;
 
@@ -45,6 +45,21 @@ fn scaled_poly_mu_zero_is_plain_eval() {
     for x in -5i64..=5 {
         assert_eq!(sp.eval(&Int::from(x)), eval(&p, &Int::from(x)));
     }
+}
+
+#[test]
+fn sign_at_returns_its_accumulator_to_the_arena() {
+    let p = Poly::from_roots(&(1..=24i64).map(Int::from).collect::<Vec<_>>());
+    let sp = ScaledPoly::new(&p, 54);
+    let outstanding = scratch::outstanding_on_thread();
+    // One-limb, two-limb and zero points; signs agree with `eval`.
+    for y in [Int::from(5) << 53, -(Int::from(7) << 80), Int::zero()] {
+        assert_eq!(sp.sign_at(&y), sp.eval(&y).signum());
+        assert_eq!(scratch::outstanding_on_thread(), outstanding);
+    }
+    let retained = scratch::retained_on_thread();
+    sp.sign_at(&(Int::from(3) << 54));
+    assert_eq!(scratch::retained_on_thread(), retained, "steady state");
 }
 
 proptest! {

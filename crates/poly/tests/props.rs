@@ -25,8 +25,58 @@ fn arb_distinct_roots(max_n: usize) -> impl Strategy<Value = Vec<Int>> {
         .prop_map(|s| s.into_iter().map(Int::from).collect())
 }
 
+/// Sign variations of `chain` at `y/2^µ` the way `variations_at_dyadic`
+/// computed them before it evaluated through `ScaledPoly`: Horner with
+/// the operator `*` and `+`, re-shifting each coefficient per step — a
+/// test-local reference for the fused path.
+fn variations_reference(chain: &SturmChain, y: &Int, mu: u64) -> usize {
+    let (mut last, mut count) = (0, 0);
+    for s in chain.polys() {
+        let sign = if s.is_zero() {
+            0
+        } else {
+            let d = s.deg();
+            let mut it = s.coeffs().iter().enumerate().rev();
+            let (_, first) = it.next().expect("nonzero");
+            let mut acc = first.clone();
+            for (j, c) in it {
+                acc = &(&acc * y) + &(c << ((d - j) as u64 * mu));
+            }
+            acc.signum()
+        };
+        if sign != 0 {
+            if last != 0 && sign != last {
+                count += 1;
+            }
+            last = sign;
+        }
+    }
+    count
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn sturm_dyadic_variations_match_shift_per_step_reference(
+        roots in arb_distinct_roots(6),
+        extra in arb_nonzero_poly(2, 30),
+        mu in prop::sample::select(vec![0u64, 1, 54, 200]),
+        at_root in 0usize..8,
+        offset in -3i64..=3,
+        far in -80i64..=80,
+    ) {
+        // Real roots (hit exactly when `offset` is 0) times a factor that
+        // may add complex or repeated roots.
+        let f = &Poly::from_roots(&roots) * &extra;
+        let chain = SturmChain::new(&f);
+        let base = roots.get(at_root).cloned().unwrap_or_else(|| Int::from(far));
+        let y = &(&base << mu) + &Int::from(offset);
+        prop_assert_eq!(
+            chain.variations_at_dyadic(&y, mu),
+            variations_reference(&chain, &y, mu)
+        );
+    }
 
     #[test]
     fn ring_axioms(a in arb_poly(6, 100), b in arb_poly(6, 100), c in arb_poly(6, 100)) {
